@@ -5,14 +5,13 @@ HyLinUCB policies, synthetic and replay-log environments, and an experiment
 harness with regret traces and diversity/confidence diagnostics.
 """
 
-from .model import ContextRound, FlatParams, HybridParams
+from .model import ContextRound, HybridParams
 from .linalg import BlockDesign, SparseHybridVector, SymPosDef
 from .policies import PolicyConfig, default_lambda, exploration_coefficient, make_policy
 
 __all__ = [
     "BlockDesign",
     "ContextRound",
-    "FlatParams",
     "HybridParams",
     "PolicyConfig",
     "SparseHybridVector",

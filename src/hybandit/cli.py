@@ -12,7 +12,7 @@ Option precedence is flags > config file > defaults.  Output files land in
 ``--out-dir`` (or ``$HYBANDIT_OUT_DIR``, or the working directory).  Runs are
 idempotent: identical configs and seeds give byte-identical output files.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or replay-log error.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .harness import (
     write_summary_csv,
 )
 from .policies import ALGORITHMS, ORACLE
-from .replay import parse_replay_log, semi_synthetic_environment
+from .replay import ReplayLogError, parse_replay_log, semi_synthetic_environment
 from .rng import derive_seed
 
 
@@ -308,7 +308,8 @@ def cmd_replay(args) -> int:
         f"fit residual {learned.fit_residual:.6g})",
         file=sys.stderr,
     )
-    traces = harness.run_environment_trials(algos, env, n_trials, delta=delta)
+    runs = [(algo, trial) for algo in sorted(algos) for trial in range(n_trials)]
+    traces = [harness.run_trial(algo, env, trial, delta=delta)[0] for algo, trial in runs]
     write_regret_csv(out / "replay_regret.csv", traces, stride=1)
     curves = harness.aggregate_traces(traces)
     best = np.min(np.stack([c.mean for c in curves.values()]), axis=0)
@@ -425,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ReplayLogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -111,21 +111,17 @@ def shared_confidence_residual(policy: SharedLinearUCB, params: HybridParams) ->
     d0 = theta_hat - params.theta
     darms = betas_hat - params.betas
     design = policy.design
-    top = float(d0 @ design.V.entries @ d0)
+    top = float(d0 @ design.V @ d0)
     cross = 2.0 * float(d0 @ np.einsum("kab,kb->a", design.B, darms))
-    w_entries = np.stack([w.entries for w in design.W])
-    arms = float(np.einsum("ka,kab,kb->", darms, w_entries, darms))
+    arms = float(np.einsum("ka,kab,kb->", darms, design.W, darms))
     return math.sqrt(max(0.0, top + cross + arms))
 
 
 def disjoint_confidence_residual(policy: DisjointLinearUCB, params: HybridParams) -> float:
     """Worst per-arm design-weighted estimation error of the disjoint models."""
-    worst = 0.0
-    for i, m in enumerate(policy.M):
-        target = np.concatenate([params.theta, params.betas[i]])
-        d = policy.phi[i] - target
-        worst = max(worst, math.sqrt(max(0.0, float(d @ m.entries @ d))))
-    return worst
+    targets = np.hstack([np.broadcast_to(params.theta, (params.n_arms, params.d1)), params.betas])
+    d = policy.phi - targets
+    return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, policy.M, d)))))
 
 
 @dataclass(frozen=True)
@@ -264,15 +260,17 @@ class PulledFeatureTracker:
     use a fixed unit ridge no matter which regularizer the policy runs with,
     and so they exist for policies (like the oracle) that keep no design at
     all.  Also carries the running elliptic-potential sum of the shared
-    features.
+    features, from its own unit-ridge shared Gram matrix.
     """
 
     def __init__(self, d1: int, d2: int, n_arms: int):
         self.design = BlockDesign(d1, d2, n_arms, 1.0)
+        self.shared = SymPosDef(d1, 1.0)
         self.elliptic_sum = 0.0
 
     def record(self, u) -> None:
-        self.elliptic_sum += self.design.V.quad_form_inv(u.x)
+        self.elliptic_sum += self.shared.quad_form_inv(u.x)
+        self.shared.rank_one_update(u.x)
         self.design.block_update(u)
 
 
@@ -293,8 +291,8 @@ def sample_diagnostics(
     unavailable).
     """
     design = tracker.design
-    lam_v = float(sym_eigenvalues(design.V.entries)[0])
-    lam_w = np.array([float(sym_eigenvalues(w.entries)[0]) for w in design.W])
+    lam_v = float(sym_eigenvalues(design.V)[0])
+    lam_w = np.array([float(sym_eigenvalues(w)[0]) for w in design.W])
     sig_b = np.array([max_singular_value(design.B[i]) for i in range(design.n_arms)])
     if include_sandwich and isinstance(policy, SharedLinearUCB):
         smin, smax = policy.design.sandwich_spectrum()

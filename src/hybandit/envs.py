@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlockDesign, SparseHybridVector
+from .linalg import BlockDesign
 from .model import ContextRound, HybridParams
 from .rng import stream
 
@@ -137,6 +137,25 @@ class LearnedModel:
     singular: bool = False
 
 
+# Records stacked at a time by the fit; bounds its memory beyond ``data`` itself.
+FIT_CHUNK = 512
+
+
+def _record_stacks(data: list, d1: int, d2: int, size: int):
+    """Consecutive stacks ``(arms, xs, zs, ys)`` of ``size`` records each."""
+    for start in range(0, len(data), size):
+        part = data[start : start + size]
+        arms = np.array([int(item[0]) for item in part], dtype=np.int64)
+        xs = np.array([item[1] for item in part], dtype=float)
+        zs = np.array([item[2] for item in part], dtype=float)
+        ys = np.array([float(item[3]) for item in part])
+        if xs.shape != (len(part), d1) or zs.shape != (len(part), d2):
+            raise ValueError("feature dimensions differ between records")
+        if not (np.isfinite(xs).all() and np.isfinite(zs).all() and np.isfinite(ys).all()):
+            raise ValueError("features and targets must be finite")
+        yield arms, xs, zs, ys
+
+
 def hybrid_least_squares(
     data,
     *,
@@ -147,52 +166,53 @@ def hybrid_least_squares(
     """Penalized least-squares fit of the hybrid reward model.
 
     ``data`` is a sequence of ``(arm, x, z, y)`` observations.  The normal
-    equations are solved in the same block form the policies use, with
-    ``ridge * I`` added so arms that were never (or rarely) shown still get a
-    unique, zero-shrunk solution.  ``ridge=0`` needs ``allow_unregularized``
-    and falls back to a dense minimum-norm solve; rank deficiency is then
-    reported through ``singular``.
+    equations, plus ``ridge * I`` so arms never (or rarely) shown still get a
+    unique, zero-shrunk solution, are accumulated ``FIT_CHUNK`` records at a
+    time into the block form the policies use and solved by one block solve.
+    ``ridge=0`` needs ``allow_unregularized`` and falls back to a dense
+    minimum-norm solve; rank deficiency is then reported through ``singular``.
     """
     data = list(data)
     if not data:
         raise ValueError("data must be nonempty")
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if ridge == 0.0 and not allow_unregularized:
+        raise ValueError("ridge=0 requires allow_unregularized=True")
     d1 = len(np.asarray(data[0][1], dtype=float))
     d2 = len(np.asarray(data[0][2], dtype=float))
-    max_arm = max(int(item[0]) for item in data)
-    k = max_arm + 1 if n_arms is None else int(n_arms)
-    if max_arm >= k:
-        raise ValueError(f"arm index {max_arm} out of range for {k} arms")
+    arm_ids = [int(item[0]) for item in data]
+    k = max(arm_ids) + 1 if n_arms is None else int(n_arms)
+    if min(arm_ids) < 0 or max(arm_ids) >= k:
+        raise ValueError(f"arm indices {min(arm_ids)}..{max(arm_ids)} out of range for {k} arms")
 
     if ridge == 0.0:
-        if not allow_unregularized:
-            raise ValueError("ridge=0 requires allow_unregularized=True")
-        rows = np.stack(
-            [SparseHybridVector(int(i), x, z).dense(k) for i, x, z, _ in data]
-        )
-        ys = np.array([float(y) for *_, y in data])
+        ((arms, xs, zs, ys),) = _record_stacks(data, d1, d2, len(data))
+        rows = np.zeros((len(data), d1 + d2 * k))
+        rows[:, :d1] = xs
+        rows[np.arange(len(data))[:, None], d1 + d2 * arms[:, None] + np.arange(d2)] = zs
         phi, _, rank, _ = np.linalg.lstsq(rows, ys, rcond=None)
         theta, betas = phi[:d1], phi[d1:].reshape(k, d2)
-        rss = float(np.sum((rows @ phi - ys) ** 2))
         singular = rank < d1 + d2 * k
     else:
         design = BlockDesign(d1, d2, k, ridge)
         u_shared = np.zeros(d1)
         u_arms = np.zeros((k, d2))
-        for i, x, z, y in data:
-            u = SparseHybridVector(int(i), x, z)
-            design.block_update(u)
-            u_shared += float(y) * u.x
-            u_arms[u.arm] += float(y) * u.z
+        for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
+            design.V += xs.T @ xs
+            u_shared += xs.T @ ys
+            np.add.at(design.W, arms, zs[:, :, None] * zs[:, None, :])
+            np.add.at(design.B, arms, xs[:, :, None] * zs[:, None, :])
+            np.add.at(u_arms, arms, zs * ys[:, None])
+            design.pull_counts += np.bincount(arms, minlength=k)
+        design.t = len(data)
+        design.refresh()
         theta, betas = design.solve_blocks(u_shared, u_arms)
-        rss = 0.0
-        for i, x, z, y in data:
-            pred = float(np.dot(theta, np.asarray(x, dtype=float))) + float(
-                np.dot(betas[int(i)], np.asarray(z, dtype=float))
-            )
-            rss += (pred - float(y)) ** 2
         singular = False
+    rss = 0.0
+    for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
+        resid = xs @ theta + np.einsum("nd,nd->n", zs, betas[arms]) - ys
+        rss += float(resid @ resid)
 
     bound = max(
         1e-12,

@@ -372,26 +372,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec, traces, diagnostics, curves, _summary_rows(spec, traces))
 
 
-def run_environment_trials(
-    algos,
-    env: Environment,
-    n_trials: int,
-    *,
-    delta: float = 0.1,
-    diagnostics_every: int = 0,
-) -> list[RegretTrace]:
-    """Run several trials of several algorithms on one prebuilt environment."""
-    traces = []
-    for algo in algos:
-        for trial in range(n_trials):
-            trace, _ = run_trial(
-                algo, env, trial, delta=delta, diagnostics_every=diagnostics_every
-            )
-            traces.append(trace)
-    traces.sort(key=lambda tr: (tr.algo, tr.env_id, tr.trial_id))
-    return traces
-
-
 def _fmt(x) -> str:
     """Serialize a float with 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")

@@ -10,9 +10,10 @@ The design matrix of the embedded (shared-setting) problem is
 with a d1 x d1 shared block ``V``, one d2 x d2 block ``W_i`` per arm, and
 cross blocks ``B_i``.  Every observation touches exactly one arm slot, so M
 can be updated and solved without ever materialising the full
-(d1 + d2*K)^2 inverse: ``V`` and each ``W_i`` carry Sherman-Morrison
-maintained inverses, and solves go through the Schur complement of the
-arm-diagonal part against ``V``.  All costs are linear in K.
+(d1 + d2*K)^2 inverse: each ``W_i`` and the Schur complement of the
+arm-diagonal part against ``V`` carry Sherman-Morrison maintained inverses,
+and solves go through that Schur complement.  An update's cost does not
+depend on K; a solve is linear in K.
 
 Supported envelope: d1, d2 <= 64 and K <= 512, everything stored dense
 row-major.
@@ -38,6 +39,11 @@ INVERSE_REFRESH_EVERY = 10_000
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """Symmetric part ``(A + A^T) / 2`` of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 class SymPosDef:
@@ -80,9 +86,8 @@ class SymPosDef:
 
     def refresh(self) -> None:
         """Re-symmetrize and rebuild the inverse from the accumulated entries."""
-        self.entries = 0.5 * (self.entries + self.entries.T)
-        inv = np.linalg.inv(self.entries)
-        self.inv_entries = 0.5 * (inv + inv.T)
+        self.entries = symmetrize(self.entries)
+        self.inv_entries = symmetrize(np.linalg.inv(self.entries))
 
     def quad_form_inv(self, v: np.ndarray) -> float:
         """Return ``v^T A^{-1} v`` (clamped to be nonnegative)."""
@@ -90,15 +95,6 @@ class SymPosDef:
         if v.shape != (self.dim,):
             raise ValueError(f"expected vector of shape ({self.dim},), got {v.shape}")
         return max(0.0, float(v @ self.inv_entries @ v))
-
-    def copy(self) -> "SymPosDef":
-        dup = SymPosDef.__new__(SymPosDef)
-        dup.dim = self.dim
-        dup.ridge = self.ridge
-        dup.entries = self.entries.copy()
-        dup.inv_entries = self.inv_entries.copy()
-        dup._updates = self._updates
-        return dup
 
 
 class SparseHybridVector:
@@ -129,17 +125,38 @@ class SparseHybridVector:
         out[d1 + self.arm * d2 : d1 + (self.arm + 1) * d2] = self.z
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SparseHybridVector(arm={self.arm}, x={self.x!r}, z={self.z!r})"
-
 
 class BlockDesign:
     """Regularized design matrix of the hybrid problem, held in block form.
 
-    Tracks V (shared), W_i and B_i (per arm), pull counts and the round
-    counter.  A lazily refreshed cache holds the inverse of the Schur
-    complement ``V_eff = V - sum_i B_i W_i^{-1} B_i^T`` plus the stacked
-    per-arm quantities needed for solves; it is invalidated by any update.
+    State, all plain numpy arrays: the shared block ``V`` (d1, d1), the
+    per-arm stacks ``W`` and ``W_inv`` (K, d2, d2), the cross blocks ``B``
+    (K, d1, d2), ``C`` with ``C_i = B_i W_i^{-1}`` (K, d1, d2), and
+    ``F = V_eff^{-1}``, the inverse of the Schur complement
+
+        V_eff = V - sum_i B_i W_i^{-1} B_i^T = V - sum_i C_i B_i^T.
+
+    Rank-one Schur bookkeeping (hybrid LinUCB; Li, Chu, Langford and
+    Schapire 2010, "A Contextual-Bandit Approach to Personalized News Article
+    Recommendation", Algorithm 2, arXiv:1003.0146).  An observation (a, x, z)
+    sets V' = V + x x^T, W_a' = W_a + z z^T and B_a' = B_a + x z^T.  With
+    g = W_a^{-1} z and s = 1 + z^T g, Sherman-Morrison gives
+    W_a'^{-1} = W_a^{-1} - g g^T / s, and expanding the products yields
+
+        C_a' = C_a + r g^T / s,        r = x - C_a z,
+        C_a' B_a'^T = C_a B_a^T + C_a z x^T + r (C_a z)^T / s + (s - 1) / s r x^T,
+
+    so that, with every other arm's term unchanged,
+
+        V_eff' = V_eff + x x^T - C_a z x^T - r (C_a z)^T / s - (s - 1) / s r x^T
+               = V_eff + r r^T / s.
+
+    A second Sherman-Morrison step keeps F: F' = F - (F r)(F r)^T / (s + r^T F r).
+    So an update costs O(d1^2 + d1 d2^2), independent of K, and only arm a's
+    ``C`` changes (it is recomputed as ``B_a W_a^{-1}``).  Every ``INVERSE_REFRESH_EVERY`` updates :meth:`refresh`
+    rebuilds ``W_inv``, ``C`` and ``F`` from ``V``, ``W`` and ``B`` to bound
+    floating-point drift.  ``V`` keeps its entries only; nothing needs its
+    inverse.
     """
 
     def __init__(self, d1: int, d2: int, n_arms: int, ridge: float):
@@ -151,19 +168,21 @@ class BlockDesign:
         self.d2 = int(d2)
         self.n_arms = int(n_arms)
         self.ridge = float(ridge)
-        self.V = SymPosDef(d1, ridge)
-        self.W = [SymPosDef(d2, ridge) for _ in range(n_arms)]
+        self.V = np.eye(d1) * self.ridge
+        self.W = np.repeat((np.eye(d2) * self.ridge)[None, :, :], n_arms, axis=0)
+        self.W_inv = np.repeat((np.eye(d2) / self.ridge)[None, :, :], n_arms, axis=0)
         self.B = np.zeros((n_arms, d1, d2))
+        self.C = np.zeros((n_arms, d1, d2))
+        self.F = np.eye(d1) / self.ridge
         self.pull_counts = np.zeros(n_arms, dtype=np.int64)
         self.t = 0
-        self._w_inv = np.repeat((np.eye(d2) / ridge)[None, :, :], n_arms, axis=0)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.d1 + self.d2 * self.n_arms
 
-    def _check_vector(self, u: SparseHybridVector) -> None:
+    def block_update(self, u: SparseHybridVector) -> None:
+        """Add the rank-one term of one observation: V += x x^T, W_arm += z z^T, B_arm += x z^T."""
         if u.x.shape != (self.d1,) or u.z.shape != (self.d2,):
             raise ValueError(
                 f"feature dims {u.x.shape}/{u.z.shape} do not match design "
@@ -171,57 +190,59 @@ class BlockDesign:
             )
         if not 0 <= u.arm < self.n_arms:
             raise ValueError(f"arm {u.arm} out of range for {self.n_arms} arms")
-
-    def block_update(self, u: SparseHybridVector) -> None:
-        """Add the rank-one term of one observation: V += x x^T, W_arm += z z^T, B_arm += x z^T."""
-        self._check_vector(u)
-        self.V.rank_one_update(u.x)
-        self.W[u.arm].rank_one_update(u.z)
-        self._w_inv[u.arm] = self.W[u.arm].inv_entries
-        self.B[u.arm] += np.outer(u.x, u.z)
-        self.pull_counts[u.arm] += 1
+        if not (np.isfinite(u.x).all() and np.isfinite(u.z).all()):
+            raise ValueError("features must be finite")
+        a, x, z = u.arm, u.x, u.z
+        g = self.W_inv[a] @ z
+        s = 1.0 + float(z @ g)
+        r = x - self.C[a] @ z
+        fr = self.F @ r
+        self.F -= np.outer(fr, fr) / (s + float(r @ fr))
+        self.W_inv[a] -= np.outer(g, g) / s
+        self.V += np.outer(x, x)
+        self.W[a] += np.outer(z, z)
+        self.B[a] += np.outer(x, z)
+        self.C[a] = self.B[a] @ self.W_inv[a]
+        self.pull_counts[a] += 1
         self.t += 1
-        self._cache = None
+        if self.t % INVERSE_REFRESH_EVERY == 0:
+            self.refresh()
 
-    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (V_eff^{-1}, C, W_inv) with C_i = B_i W_i^{-1}, stacked over arms."""
-        if self._cache is None:
-            w_inv = self._w_inv
-            c = self.B @ w_inv
-            s = np.einsum("kab,kcb->ac", c, self.B)
-            v_eff = self.V.entries - s
-            v_eff = 0.5 * (v_eff + v_eff.T)
-            f = np.linalg.inv(v_eff)
-            self._cache = (0.5 * (f + f.T), c, w_inv)
-        return self._cache
+    def refresh(self) -> None:
+        """Rebuild ``W_inv``, ``C`` and ``F`` from the accumulated ``V``, ``W`` and ``B``.
 
-    def solve_blocks(self, b_shared: np.ndarray, b_arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Raises ``ValueError`` if some ``W_i`` or the Schur complement is not
+        positive definite, which no sequence of finite updates can cause.
+        """
+        self.V = symmetrize(self.V)
+        self.W = symmetrize(self.W)
+        try:
+            np.linalg.cholesky(self.W)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("an arm block W_i is not positive definite") from exc
+        self.W_inv = symmetrize(np.linalg.inv(self.W))
+        self.C = self.B @ self.W_inv
+        v_eff = symmetrize(self.V - np.einsum("kab,kcb->ac", self.C, self.B))
+        try:
+            chol = np.linalg.cholesky(v_eff)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "Schur complement V - sum B_i W_i^-1 B_i^T is not positive definite"
+            ) from exc
+        chol_inv = np.linalg.inv(chol)
+        self.F = symmetrize(chol_inv.T @ chol_inv)
+
+    def solve_blocks(
+        self, b_shared: np.ndarray, b_arms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Solve M y = b for a block right-hand side (d1 part, (K, d2) arm parts)."""
         b_shared = np.asarray(b_shared, dtype=float)
         b_arms = np.asarray(b_arms, dtype=float)
         if b_shared.shape != (self.d1,) or b_arms.shape != (self.n_arms, self.d2):
             raise ValueError("right-hand side shape does not match design blocks")
-        f, c, w_inv = self._schur()
-        y0 = f @ (b_shared - np.einsum("kab,kb->a", c, b_arms))
-        y_arms = np.einsum("kab,kb->ka", w_inv, b_arms) - np.einsum("kab,a->kb", c, y0)
+        y0 = self.F @ (b_shared - np.einsum("kab,kb->a", self.C, b_arms))
+        y_arms = np.einsum("kab,kb->ka", self.W_inv, b_arms) - np.einsum("kab,a->kb", self.C, y0)
         return y0, y_arms
-
-    def solve_sparse(self, u: SparseHybridVector) -> np.ndarray:
-        """Return ``M^{-1} u`` (as a dense (d1 + d2*K)-vector) for a sparse u."""
-        self._check_vector(u)
-        f, c, w_inv = self._schur()
-        y0 = f @ (u.x - c[u.arm] @ u.z)
-        y_arms = -np.einsum("kab,a->kb", c, y0)
-        y_arms[u.arm] += w_inv[u.arm] @ u.z
-        return np.concatenate([y0, y_arms.ravel()])
-
-    def quad_form_inv(self, u: SparseHybridVector) -> float:
-        """Return ``u^T M^{-1} u`` without touching the other arms' slots."""
-        self._check_vector(u)
-        f, c, w_inv = self._schur()
-        w = u.x - c[u.arm] @ u.z
-        val = float(w @ f @ w) + float(u.z @ w_inv[u.arm] @ u.z)
-        return max(0.0, val)
 
     def quad_forms_per_arm(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Quadratic forms ``u_i^T M^{-1} u_i`` for all arms at once.
@@ -232,21 +253,22 @@ class BlockDesign:
         zs = np.asarray(zs, dtype=float)
         if xs.shape != (self.n_arms, self.d1) or zs.shape != (self.n_arms, self.d2):
             raise ValueError("expected per-arm feature stacks of shapes (K, d1) and (K, d2)")
-        f, c, w_inv = self._schur()
-        w = xs - np.einsum("kab,kb->ka", c, zs)
-        vals = np.einsum("ka,ab,kb->k", w, f, w) + np.einsum("ka,kab,kb->k", zs, w_inv, zs)
+        w = xs - np.einsum("kab,kb->ka", self.C, zs)
+        vals = np.einsum("ka,ka->k", w @ self.F, w) + np.einsum(
+            "ka,ka->k", np.einsum("kab,kb->ka", self.W_inv, zs), zs
+        )
         return np.maximum(vals, 0.0)
 
     def assemble_dense(self) -> np.ndarray:
         """Materialize the full (d1 + d2*K)^2 matrix (diagnostics/tests only)."""
         n = self.dim
         m = np.zeros((n, n))
-        m[: self.d1, : self.d1] = self.V.entries
+        m[: self.d1, : self.d1] = self.V
         for i in range(self.n_arms):
             sl = slice(self.d1 + i * self.d2, self.d1 + (i + 1) * self.d2)
             m[: self.d1, sl] = self.B[i]
             m[sl, : self.d1] = self.B[i].T
-            m[sl, sl] = self.W[i].entries
+            m[sl, sl] = self.W[i]
         return m
 
     def sandwich_spectrum(self) -> tuple[float, float]:
@@ -258,7 +280,7 @@ class BlockDesign:
         """
         if not np.any(self.B):
             return (1.0, 1.0)
-        blocks = [_inv_sqrt(self.V.entries)] + [_inv_sqrt(w.entries) for w in self.W]
+        blocks = [_inv_sqrt(self.V)] + [_inv_sqrt(w) for w in self.W]
         n = self.dim
         u_inv_half = np.zeros((n, n))
         u_inv_half[: self.d1, : self.d1] = blocks[0]
@@ -266,20 +288,8 @@ class BlockDesign:
             sl = slice(self.d1 + i * self.d2, self.d1 + (i + 1) * self.d2)
             u_inv_half[sl, sl] = blocks[i + 1]
         g = u_inv_half @ self.assemble_dense() @ u_inv_half
-        vals = sym_eigenvalues(0.5 * (g + g.T))
+        vals = sym_eigenvalues(symmetrize(g))
         return float(vals[0]), float(vals[-1])
-
-    def copy(self) -> "BlockDesign":
-        dup = BlockDesign.__new__(BlockDesign)
-        dup.d1, dup.d2, dup.n_arms, dup.ridge = self.d1, self.d2, self.n_arms, self.ridge
-        dup.V = self.V.copy()
-        dup.W = [w.copy() for w in self.W]
-        dup.B = self.B.copy()
-        dup.pull_counts = self.pull_counts.copy()
-        dup.t = self.t
-        dup._w_inv = self._w_inv.copy()
-        dup._cache = None
-        return dup
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -289,7 +299,7 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
+    return symmetrize(a)
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = _JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -52,18 +52,6 @@ class HybridParams:
 
 
 @dataclass(frozen=True)
-class FlatParams:
-    """Flattened global parameter vector (theta, beta_1, ..., beta_K)."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        if self.phi.ndim != 1:
-            raise ValueError("phi must be a vector")
-
-
-@dataclass(frozen=True)
 class ContextRound:
     """The K feature tuples presented in one round, stacked per arm."""
 
@@ -96,14 +84,14 @@ def embed(arm: int, x: np.ndarray, z: np.ndarray, n_arms: int) -> SparseHybridVe
     return SparseHybridVector(arm, x, z)
 
 
-def flatten(params: HybridParams) -> FlatParams:
+def flatten(params: HybridParams) -> np.ndarray:
     """Concatenate (theta, beta_1, ..., beta_K) into one global vector."""
-    return FlatParams(np.concatenate([params.theta, params.betas.ravel()]))
+    return np.concatenate([params.theta, params.betas.ravel()])
 
 
-def unflatten(flat: FlatParams, d1: int, d2: int, n_arms: int, S: float = 1.0) -> HybridParams:
+def unflatten(phi: np.ndarray, d1: int, d2: int, n_arms: int, S: float = 1.0) -> HybridParams:
     """Inverse of :func:`flatten`."""
-    phi = flat.phi
+    phi = np.asarray(phi, dtype=float)
     if phi.shape != (d1 + d2 * n_arms,):
         raise ValueError(f"phi length {phi.shape} does not match d1 + d2*K")
     return HybridParams(phi[:d1].copy(), phi[d1:].reshape(n_arms, d2).copy(), S=S)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlockDesign, SparseHybridVector, SymPosDef
+from .linalg import INVERSE_REFRESH_EVERY, BlockDesign, SparseHybridVector, symmetrize
 from .model import ContextRound, HybridParams, mean_rewards
 
 LINUCB = "linucb"
@@ -160,12 +160,6 @@ class SharedLinearUCB:
         widths = np.sqrt(self.design.quad_forms_per_arm(ctx.xs, ctx.zs))
         return means + self.config.gamma * widths
 
-    def ucb_score(self, arm: int, x: np.ndarray, z: np.ndarray) -> float:
-        theta, betas = self.estimates()
-        u = SparseHybridVector(arm, x, z)
-        mean = float(np.dot(theta, u.x) + np.dot(betas[arm], u.z))
-        return mean + self.config.gamma * math.sqrt(self.design.quad_form_inv(u))
-
     def select_arm(self, ctx: ContextRound) -> int:
         return int(np.argmax(self.scores(ctx)))
 
@@ -180,28 +174,29 @@ class SharedLinearUCB:
 
 
 class DisjointLinearUCB:
-    """One independent ridge-UCB model per arm on the concatenated features."""
+    """One independent ridge-UCB model per arm on the concatenated features.
+
+    Per-arm Gram matrices ``M`` and their Sherman-Morrison inverses ``M_inv``
+    are (K, d1 + d2, d1 + d2) stacks; an arm's inverse is rebuilt every
+    ``INVERSE_REFRESH_EVERY`` pulls of that arm.
+    """
 
     def __init__(self, config: PolicyConfig):
         if config.algo != DISLINUCB:
             raise ValueError(f"{config.algo!r} is not the disjoint algorithm")
         self.config = config
         d = config.d1 + config.d2
-        self.M = [SymPosDef(d, config.lam) for _ in range(config.n_arms)]
-        self._m_inv = np.repeat((np.eye(d) / config.lam)[None, :, :], config.n_arms, axis=0)
+        self.M = np.repeat((np.eye(d) * config.lam)[None, :, :], config.n_arms, axis=0)
+        self.M_inv = np.repeat((np.eye(d) / config.lam)[None, :, :], config.n_arms, axis=0)
+        self.pulls = np.zeros(config.n_arms, dtype=np.int64)
         self.u = np.zeros((config.n_arms, d))
         self.phi = np.zeros((config.n_arms, d))
 
     def scores(self, ctx: ContextRound) -> np.ndarray:
         xbar = np.hstack([ctx.xs, ctx.zs])
         means = np.einsum("kd,kd->k", xbar, self.phi)
-        quads = np.einsum("ka,kab,kb->k", xbar, self._m_inv, xbar)
+        quads = np.einsum("ka,kab,kb->k", xbar, self.M_inv, xbar)
         return means + self.config.gamma * np.sqrt(np.maximum(quads, 0.0))
-
-    def ucb_score(self, arm: int, x: np.ndarray, z: np.ndarray) -> float:
-        xbar = np.concatenate([x, z])
-        mean = float(np.dot(self.phi[arm], xbar))
-        return mean + self.config.gamma * math.sqrt(self.M[arm].quad_form_inv(xbar))
 
     def select_arm(self, ctx: ContextRound) -> int:
         return int(np.argmax(self.scores(ctx)))
@@ -209,12 +204,18 @@ class DisjointLinearUCB:
     def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        xbar = np.concatenate([x, z])
-        m = self.M[arm]
-        m.rank_one_update(xbar)
-        self._m_inv[arm] = m.inv_entries
+        xbar = np.concatenate([x, z]).astype(float, copy=False)
+        if not np.isfinite(xbar).all():
+            raise ValueError("features must be finite")
+        self.M[arm] += np.outer(xbar, xbar)
+        g = self.M_inv[arm] @ xbar
+        self.M_inv[arm] -= np.outer(g, g) / (1.0 + float(xbar @ g))
+        self.pulls[arm] += 1
+        if self.pulls[arm] % INVERSE_REFRESH_EVERY == 0:
+            self.M[arm] = symmetrize(self.M[arm])
+            self.M_inv[arm] = symmetrize(np.linalg.inv(self.M[arm]))
         self.u[arm] += reward * xbar
-        self.phi[arm] = m.inv_entries @ self.u[arm]
+        self.phi[arm] = self.M_inv[arm] @ self.u[arm]
 
 
 class OraclePolicy:

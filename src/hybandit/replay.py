@@ -81,6 +81,8 @@ def parse_replay_log(path):
                 raise ReplayLogError(lineno, "missing 'displayed' or 'click'")
             if user.ndim != 1 or arms.ndim != 2:
                 raise ReplayLogError(lineno, "user must be a vector and arms a matrix")
+            if not (np.isfinite(user).all() and np.isfinite(arms).all()):
+                raise ReplayLogError(lineno, "user and arm features must be finite numbers")
             displayed = doc["displayed"]
             if not isinstance(displayed, int) or isinstance(displayed, bool):
                 raise ReplayLogError(lineno, "'displayed' must be an integer")

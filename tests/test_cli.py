@@ -163,6 +163,19 @@ class TestReplay:
         write_replay_log(log, synth_records(6, 50, n_arms=3))
         assert run_cli("replay", "--log", str(log), "--train-n", "50", "--out-dir", str(tmp_path)) == 1
 
+    def test_non_finite_log_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(8, 40, n_arms=3))
+        lines = log.read_text().splitlines()
+        doc = json.loads(lines[4])
+        doc["user"][0] = float("nan")
+        lines[4] = json.dumps(doc)
+        log.write_text("\n".join(lines) + "\n")
+        rc = run_cli("replay", "--log", str(log), "--train-n", "20", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "line 5" in capsys.readouterr().err
+        assert not (tmp_path / "replay_regret.csv").exists()
+
     def test_missing_log_exits_2(self, tmp_path):
         assert run_cli("replay", "--out-dir", str(tmp_path)) == 2
 

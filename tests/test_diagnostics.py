@@ -18,7 +18,13 @@ from hybandit.envs import SyntheticEnvConfig, sample_unit_ball
 from hybandit.harness import run_trial, synthetic_environment
 from hybandit.linalg import BlockDesign, SparseHybridVector
 from hybandit.model import flatten
-from hybandit.policies import LINUCB, PolicyConfig, SharedLinearUCB
+from hybandit.policies import (
+    DISLINUCB,
+    LINUCB,
+    DisjointLinearUCB,
+    PolicyConfig,
+    SharedLinearUCB,
+)
 
 from test_model import random_params
 
@@ -106,7 +112,7 @@ class TestConfidence:
         pol = self.make_policy(params)
         report = check_confidence(pol, params)
         lam = pol.config.lam
-        expected = math.sqrt(lam) * float(np.linalg.norm(flatten(params).phi))
+        expected = math.sqrt(lam) * float(np.linalg.norm(flatten(params)))
         assert report.residual == pytest.approx(expected, rel=1e-9)
         assert expected <= 2 * math.sqrt(lam * params.n_arms) * params.S
         assert report.ok
@@ -125,9 +131,24 @@ class TestConfidence:
             i = int(rng.integers(4))
             x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
             pol.update(i, x, z, float(rng.standard_normal()))
-        delta = pol.phi_hat() - flatten(params).phi
+        delta = pol.phi_hat() - flatten(params)
         dense = float(np.sqrt(delta @ pol.design.assemble_dense() @ delta))
         assert shared_confidence_residual(pol, params) == pytest.approx(dense, rel=1e-10)
+
+    def test_disjoint_residual_matches_per_arm_loop(self, rng):
+        params = random_params(rng, 3, 2, 4)
+        cfg = PolicyConfig.create(DISLINUCB, d1=3, d2=2, n_arms=4, S=params.S, T=500)
+        pol = DisjointLinearUCB(cfg)
+        for _ in range(60):
+            i = int(rng.integers(4))
+            x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
+            pol.update(i, x, z, float(rng.standard_normal()))
+        per_arm = []
+        for i in range(4):
+            d = pol.phi[i] - np.concatenate([params.theta, params.betas[i]])
+            per_arm.append(math.sqrt(float(d @ pol.M[i] @ d)))
+        report = check_confidence(pol, params)
+        assert report.residual == pytest.approx(max(per_arm), rel=1e-12)
 
 
 class TestSandwich:

@@ -14,7 +14,7 @@ from hybandit.envs import (
 from hybandit.model import mean_reward
 from hybandit.rng import stream
 
-from oracles import dense_ridge
+from oracles import dense_embed, dense_ridge
 from test_model import random_params
 
 
@@ -153,6 +153,29 @@ class TestHybridLeastSquares:
         ref = dense_ridge(np.array(rows), np.array(ys), 0.5)
         got = np.concatenate([fit.params.theta, fit.params.betas[0]])
         assert np.max(np.abs(got - ref)) < 1e-9
+
+    def test_multi_arm_matches_dense_ridge(self, rng):
+        # uneven arm counts, arm 3 never shown: its beta is shrunk to zero
+        d1, d2, k, ridge = 4, 3, 5, 0.3
+        data = []
+        for _ in range(400):
+            i = int(rng.choice([0, 0, 0, 1, 2, 4]))
+            x, z = rng.standard_normal(d1) / 2, rng.standard_normal(d2) / 2
+            data.append((i, x, z, float(rng.standard_normal())))
+        fit = hybrid_least_squares(data, n_arms=k, ridge=ridge)
+        rows = np.stack([dense_embed(i, x, z, k) for i, x, z, _ in data])
+        ys = np.array([y for *_, y in data])
+        ref = dense_ridge(rows, ys, ridge)
+        got = np.concatenate([fit.params.theta, fit.params.betas.ravel()])
+        assert np.max(np.abs(got - ref)) < 1e-12
+        assert not np.any(fit.params.betas[3])
+        assert fit.fit_residual == pytest.approx(float(np.sum((rows @ ref - ys) ** 2)), rel=1e-10)
+
+    def test_non_finite_data_rejected(self, rng):
+        data = [(0, rng.standard_normal(3), rng.standard_normal(2), 1.0) for _ in range(5)]
+        data[3] = (1, np.array([0.1, np.nan, 0.2]), rng.standard_normal(2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            hybrid_least_squares(data, n_arms=2)
 
     def test_objective_beats_zero_params(self, rng):
         ridge = 1e-3

@@ -25,6 +25,27 @@ def random_design(rng, d1, d2, n_arms, ridge, n_updates, scale=1.0):
     return bd
 
 
+def one_hot_rhs(u, n_arms):
+    """Block right-hand side of the embedded vector u: (x, zeros with z in u's arm row)."""
+    b_arms = np.zeros((n_arms, u.z.shape[0]))
+    b_arms[u.arm] = u.z
+    return u.x, b_arms
+
+
+def solve_dense_view(bd, u):
+    """``M^{-1} u`` through ``solve_blocks``, flattened to a (d1 + d2*K)-vector."""
+    y0, y_arms = bd.solve_blocks(*one_hot_rhs(u, bd.n_arms))
+    return np.concatenate([y0, y_arms.ravel()])
+
+
+def quad_form(bd, u):
+    """``u^T M^{-1} u`` for one embedded vector, through ``quad_forms_per_arm``."""
+    xs = np.zeros((bd.n_arms, bd.d1))
+    zs = np.zeros((bd.n_arms, bd.d2))
+    xs[u.arm], zs[u.arm] = u.x, u.z
+    return float(bd.quad_forms_per_arm(xs, zs)[u.arm])
+
+
 class TestSymPosDef:
     def test_identity_rank_one(self):
         m = SymPosDef(2, 1.0)
@@ -91,8 +112,8 @@ class TestBlockDesign:
         bd = BlockDesign(3, 2, 4, lam)
         x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
         bd.block_update(SparseHybridVector(1, x, z))
-        assert np.allclose(bd.V.entries, lam * np.eye(3) + np.outer(x, x))
-        assert np.allclose(bd.W[1].entries, lam * np.eye(2) + np.outer(z, z))
+        assert np.allclose(bd.V, lam * np.eye(3) + np.outer(x, x))
+        assert np.allclose(bd.W[1], lam * np.eye(2) + np.outer(z, z))
         assert np.allclose(bd.B[1], np.outer(x, z))
         assert not np.any(bd.B[0]) and not np.any(bd.B[2]) and not np.any(bd.B[3])
         assert bd.t == 1 and bd.pull_counts[1] == 1
@@ -101,8 +122,8 @@ class TestBlockDesign:
         bd = BlockDesign(3, 2, 2, 1.0)
         x = rng.standard_normal(3) / 2
         bd.block_update(SparseHybridVector(0, x, np.zeros(2)))
-        assert np.allclose(bd.V.entries, np.eye(3) + np.outer(x, x))
-        assert np.allclose(bd.W[0].entries, np.eye(2))
+        assert np.allclose(bd.V, np.eye(3) + np.outer(x, x))
+        assert np.allclose(bd.W[0], np.eye(2))
         assert not np.any(bd.B)
         assert bd.pull_counts[0] == 1 and bd.t == 1
 
@@ -127,13 +148,13 @@ class TestBlockDesign:
         lam = 2.5
         bd = BlockDesign(3, 2, 4, lam)
         u = SparseHybridVector(2, rng.standard_normal(3), rng.standard_normal(2))
-        assert np.allclose(bd.solve_sparse(u), u.dense(4) / lam)
+        assert np.allclose(solve_dense_view(bd, u), u.dense(4) / lam)
 
     def test_solve_single_arm_matches_dense(self, rng):
         bd = random_design(rng, 3, 2, 1, 1.0, 40)
         u = SparseHybridVector(0, rng.standard_normal(3), rng.standard_normal(2))
         ref = np.linalg.solve(bd.assemble_dense(), u.dense(1))
-        assert np.max(np.abs(bd.solve_sparse(u) - ref)) < 1e-10
+        assert np.max(np.abs(solve_dense_view(bd, u) - ref)) < 1e-10
 
     def test_solve_matches_dense_inverse_oracle(self, rng):
         bd = random_design(rng, 3, 2, 4, 1.0, 500)
@@ -143,7 +164,7 @@ class TestBlockDesign:
                 int(rng.integers(4)), rng.standard_normal(3), rng.standard_normal(2)
             )
             ref = m_inv @ u.dense(4)
-            got = bd.solve_sparse(u)
+            got = solve_dense_view(bd, u)
             assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
 
     def test_solve_blocks_general_rhs(self, rng):
@@ -159,11 +180,11 @@ class TestBlockDesign:
         bd = BlockDesign(3, 2, 2, lam)
         x = np.array([0.6, 0.8, 0.0])
         u = SparseHybridVector(0, x, np.zeros(2))
-        assert bd.quad_form_inv(u) == pytest.approx(1.0 / lam, rel=1e-12)
+        assert quad_form(bd, u) == pytest.approx(1.0 / lam, rel=1e-12)
 
     def test_quad_form_zero_vector(self):
         bd = BlockDesign(3, 2, 2, 1.0)
-        assert bd.quad_form_inv(SparseHybridVector(1, np.zeros(3), np.zeros(2))) == 0.0
+        assert quad_form(bd, SparseHybridVector(1, np.zeros(3), np.zeros(2))) == 0.0
 
     def test_quad_form_matches_solve_and_dense(self, rng):
         bd = random_design(rng, 3, 2, 4, 1.0, 150)
@@ -173,9 +194,9 @@ class TestBlockDesign:
                 int(rng.integers(4)), rng.standard_normal(3), rng.standard_normal(2)
             )
             dense_val = float(u.dense(4) @ m_inv @ u.dense(4))
-            assert bd.quad_form_inv(u) == pytest.approx(dense_val, rel=1e-9)
-            assert bd.quad_form_inv(u) == pytest.approx(
-                float(u.dense(4) @ bd.solve_sparse(u)), rel=1e-9
+            assert quad_form(bd, u) == pytest.approx(dense_val, rel=1e-9)
+            assert quad_form(bd, u) == pytest.approx(
+                float(u.dense(4) @ solve_dense_view(bd, u)), rel=1e-9
             )
 
     def test_quad_form_bounded_by_norm_over_ridge(self, rng):
@@ -186,12 +207,12 @@ class TestBlockDesign:
                 int(rng.integers(3)), rng.standard_normal(3), rng.standard_normal(2)
             )
             norm2 = float(u.x @ u.x + u.z @ u.z)
-            assert bd.quad_form_inv(u) <= norm2 / lam + 1e-12
+            assert quad_form(bd, u) <= norm2 / lam + 1e-12
 
     def test_quad_form_monotone_under_updates(self, rng):
         bd = BlockDesign(3, 2, 3, 1.0)
         u = SparseHybridVector(1, rng.standard_normal(3), rng.standard_normal(2))
-        prev = bd.quad_form_inv(u)
+        prev = quad_form(bd, u)
         for _ in range(50):
             w = SparseHybridVector(
                 int(rng.integers(3)),
@@ -199,7 +220,7 @@ class TestBlockDesign:
                 rng.standard_normal(2) / 2,
             )
             bd.block_update(w)
-            cur = bd.quad_form_inv(u)
+            cur = quad_form(bd, u)
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -209,8 +230,9 @@ class TestBlockDesign:
         zs = rng.standard_normal((4, 2))
         batch = bd.quad_forms_per_arm(xs, zs)
         for i in range(4):
+            u = SparseHybridVector(i, xs[i], zs[i])
             assert batch[i] == pytest.approx(
-                bd.quad_form_inv(SparseHybridVector(i, xs[i], zs[i])), rel=1e-12
+                float(u.dense(4) @ solve_dense_view(bd, u)), rel=1e-12
             )
 
     def test_dimension_mismatch(self, rng):
@@ -219,6 +241,75 @@ class TestBlockDesign:
             bd.block_update(SparseHybridVector(0, np.ones(4), np.ones(2)))
         with pytest.raises(ValueError):
             bd.block_update(SparseHybridVector(5, np.ones(3), np.ones(2)))
+
+
+def schur_inverse_reference(bd):
+    """``inv(V - sum_i B_i W_i^{-1} B_i^T)`` recomputed from the accumulated blocks."""
+    s = sum(b @ np.linalg.inv(w) @ b.T for b, w in zip(bd.B, bd.W))
+    return np.linalg.inv(bd.V - s)
+
+
+class TestBlockDesignNumerics:
+    def test_schur_inverse_tracks_recompute_across_refreshes(self, rng, monkeypatch):
+        # 25,000 updates cross two periodic refreshes (INVERSE_REFRESH_EVERY = 10,000)
+        refreshes = []
+        original = BlockDesign.refresh
+
+        def counting_refresh(self):
+            refreshes.append(self.t)
+            original(self)
+
+        monkeypatch.setattr(BlockDesign, "refresh", counting_refresh)
+        d1, d2, n_arms = 3, 2, 4
+        bd = BlockDesign(d1, d2, n_arms, 1.0)
+        for step in range(1, 25_001):
+            x = rng.standard_normal(d1)
+            x *= rng.random() / np.linalg.norm(x)
+            z = rng.standard_normal(d2)
+            z *= rng.random() / np.linalg.norm(z)
+            bd.block_update(SparseHybridVector(int(rng.integers(n_arms)), x, z))
+            if step % 1000 == 0:
+                ref = schur_inverse_reference(bd)
+                rel = np.max(np.abs(bd.F - ref)) / np.max(np.abs(ref))
+                assert rel <= 1e-10, (step, rel)
+                w_inv = np.linalg.inv(bd.W)
+                assert np.max(np.abs(bd.W_inv - w_inv)) <= 1e-10 * np.max(np.abs(w_inv))
+                assert np.max(np.abs(bd.C - bd.B @ w_inv)) <= 1e-10 * max(1.0, np.max(np.abs(bd.C)))
+        assert refreshes == [10_000, 20_000]
+
+    def test_refresh_matches_incremental_state(self, rng):
+        bd = random_design(rng, 4, 3, 5, 1.0, 400)
+        f, c, w_inv = bd.F.copy(), bd.C.copy(), bd.W_inv.copy()
+        bd.refresh()
+        assert np.max(np.abs(bd.F - f)) <= 1e-12 * np.max(np.abs(f))
+        assert np.max(np.abs(bd.C - c)) <= 1e-12 * max(1.0, np.max(np.abs(c)))
+        assert np.max(np.abs(bd.W_inv - w_inv)) <= 1e-12
+
+    def test_refresh_rejects_non_pd_schur_complement(self, rng):
+        bd = random_design(rng, 3, 2, 4, 1.0, 50)
+        # shrink V below the cross-block term: V - sum B W^-1 B^T loses definiteness
+        bd.V = 1e-3 * np.eye(3)
+        with pytest.raises(ValueError, match="Schur complement"):
+            bd.refresh()
+
+    def test_refresh_rejects_non_pd_arm_block(self, rng):
+        bd = random_design(rng, 3, 2, 4, 1.0, 50)
+        bd.W[2] = -np.eye(2)
+        with pytest.raises(ValueError, match="positive definite"):
+            bd.refresh()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_block_update_rejects_non_finite(self, rng, value):
+        bd = random_design(rng, 3, 2, 4, 1.0, 20)
+        before = {k: np.copy(v) for k, v in vars(bd).items()}
+        x = rng.standard_normal(3) / 2
+        x[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            bd.block_update(SparseHybridVector(1, x, rng.standard_normal(2) / 2))
+        with pytest.raises(ValueError, match="finite"):
+            bd.block_update(SparseHybridVector(1, np.zeros(3), np.array([0.1, value])))
+        for k, v in vars(bd).items():
+            assert np.array_equal(before[k], v), k
 
 
 class TestEigensolver:
@@ -321,10 +412,10 @@ class TestSandwichSpectrum:
         assert smin + smax == pytest.approx(2.0, abs=1e-8)
         m = bd.assemble_dense()
         u = np.zeros_like(m)
-        u[:3, :3] = bd.V.entries
+        u[:3, :3] = bd.V
         for i in range(3):
             sl = slice(3 + 2 * i, 5 + 2 * i)
-            u[sl, sl] = bd.W[i].entries
+            u[sl, sl] = bd.W[i]
         w, q = np.linalg.eigh(u)
         u_ih = (q / np.sqrt(w)) @ q.T
         ref = np.linalg.eigvalsh(u_ih @ m @ u_ih)
@@ -338,11 +429,11 @@ class TestSandwichSpectrum:
         bd.block_update(SparseHybridVector(1, x, z))
         # extreme eigenvalues are 1 -/+ the largest singular value of the
         # normalized cross operator
-        w1, q1 = np.linalg.eigh(bd.V.entries)
+        w1, q1 = np.linalg.eigh(bd.V)
         v_half = (q1 / np.sqrt(w1)) @ q1.T
         zmat = []
         for i in range(3):
-            w2, q2 = np.linalg.eigh(bd.W[i].entries)
+            w2, q2 = np.linalg.eigh(bd.W[i])
             w_half = (q2 / np.sqrt(w2)) @ q2.T
             zmat.append(v_half @ bd.B[i] @ w_half)
         sigma = np.linalg.svd(np.hstack(zmat), compute_uv=False)[0]

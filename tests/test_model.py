@@ -45,7 +45,7 @@ class TestEmbed:
     def test_preserves_mean_reward(self, rng):
         d1, d2, n_arms = 4, 3, 5
         params = random_params(rng, d1, d2, n_arms)
-        phi = flatten(params).phi
+        phi = flatten(params)
         for _ in range(20):
             i = int(rng.integers(n_arms))
             x = rng.standard_normal(d1) / 3
@@ -67,11 +67,11 @@ class TestEmbed:
 class TestFlatten:
     def test_concatenation_order(self):
         p = HybridParams(np.array([1.0]), np.array([[2.0], [3.0]]), S=3.0)
-        assert np.array_equal(flatten(p).phi, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(flatten(p), np.array([1.0, 2.0, 3.0]))
 
     def test_all_zeros(self):
         p = HybridParams(np.zeros(2), np.zeros((3, 2)))
-        assert not np.any(flatten(p).phi)
+        assert not np.any(flatten(p))
 
     def test_round_trip(self, rng):
         p = random_params(rng, 3, 2, 4, S=2.0)
@@ -82,7 +82,7 @@ class TestFlatten:
     def test_flat_norm_bound(self, rng):
         for _ in range(10):
             p = random_params(rng, 3, 2, 6)
-            assert np.linalg.norm(flatten(p).phi) <= p.S * np.sqrt(7) + 1e-12
+            assert np.linalg.norm(flatten(p)) <= p.S * np.sqrt(7) + 1e-12
 
 
 class TestHybridParams:
@@ -104,7 +104,7 @@ class TestMeanReward:
 
     def test_matches_embedding(self, rng):
         p = random_params(rng, 3, 2, 4)
-        phi = flatten(p).phi
+        phi = flatten(p)
         for _ in range(10):
             i = int(rng.integers(4))
             x, z = rng.standard_normal(3), rng.standard_normal(2)

@@ -91,13 +91,22 @@ def fresh_shared(algo=HYLINUCB, d1=3, d2=2, n_arms=4, T=500, **kw):
     return SharedLinearUCB(cfg)
 
 
+def score_of(pol, arm, x, z):
+    """UCB score of (x, z) in ``arm``'s slot, read off the batched ``scores``."""
+    n_arms = pol.config.n_arms
+    xs = np.zeros((n_arms, len(x)))
+    zs = np.zeros((n_arms, len(z)))
+    xs[arm], zs[arm] = x, z
+    return float(pol.scores(ContextRound(xs, zs))[arm])
+
+
 class TestUcbScore:
     def test_fresh_state_is_scaled_norm(self, rng):
         pol = fresh_shared(LINUCB)
         x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
         norm = math.sqrt(float(x @ x + z @ z))
         expected = pol.config.gamma * norm / math.sqrt(pol.config.lam)
-        assert pol.ucb_score(1, x, z) == pytest.approx(expected, rel=1e-12)
+        assert score_of(pol, 1, x, z) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_zero_gives_plain_mean(self, rng):
         pol = fresh_shared(LINUCB, gamma=0.0)
@@ -107,7 +116,7 @@ class TestUcbScore:
             pol.update(i, ctx.xs[i], ctx.zs[i], float(rng.standard_normal()))
         theta, betas = pol.estimates()
         x, z = ctx.xs[2], ctx.zs[2]
-        assert pol.ucb_score(2, x, z) == pytest.approx(
+        assert score_of(pol, 2, x, z) == pytest.approx(
             float(theta @ x + betas[2] @ z), rel=1e-10
         )
 
@@ -192,6 +201,37 @@ class TestSharedUpdate:
             pol.update(0, np.zeros(3), np.zeros(2), float("inf"))
 
 
+def state_snapshot(pol):
+    """Copies of every array and counter a policy (and its block design) holds."""
+    holders = [("", pol)] + ([("design.", pol.design)] if hasattr(pol, "design") else [])
+    return {
+        prefix + name: np.copy(val) if isinstance(val, np.ndarray) else val
+        for prefix, obj in holders
+        for name, val in vars(obj).items()
+        if isinstance(val, (np.ndarray, int))
+    }
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("algo", [LINUCB, HYLINUCB, DISLINUCB])
+    @pytest.mark.parametrize("where", ["x", "z"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejected_and_state_unchanged(self, rng, algo, where, value):
+        pol = make_policy(PolicyConfig.create(algo, d1=3, d2=2, n_arms=4, S=1.0, T=500))
+        for _ in range(5):
+            i = int(rng.integers(4))
+            pol.update(i, rng.standard_normal(3) / 2, rng.standard_normal(2) / 2, rng.random())
+        before = state_snapshot(pol)
+        x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
+        (x if where == "x" else z)[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            pol.update(2, x, z, 0.5)
+        after = state_snapshot(pol)
+        assert before.keys() == after.keys()
+        for name in before:
+            assert np.array_equal(before[name], after[name]), name
+
+
 class TestDisjoint:
     def make(self, n_arms=3, T=400, **kw):
         cfg = PolicyConfig.create(DISLINUCB, d1=2, d2=2, n_arms=n_arms, S=1.0, T=T, **kw)
@@ -211,7 +251,7 @@ class TestDisjoint:
             if i == 1:
                 solo.update(i, x, z, r)
         assert np.allclose(pol.phi[1], solo.phi[1], atol=1e-14)
-        assert np.allclose(pol.M[1].entries, solo.M[1].entries, atol=1e-14)
+        assert np.allclose(pol.M[1], solo.M[1], atol=1e-14)
 
     def test_matches_per_arm_dense_ridge(self, rng):
         pol = self.make()
@@ -234,7 +274,7 @@ class TestDisjoint:
         x, z = rng.standard_normal(2) / 2, rng.standard_normal(2) / 2
         xbar = np.concatenate([x, z])
         expected = pol.config.gamma * np.linalg.norm(xbar)
-        assert pol.ucb_score(0, x, z) == pytest.approx(expected, rel=1e-12)
+        assert score_of(pol, 0, x, z) == pytest.approx(expected, rel=1e-12)
 
 
 class TestOraclePolicy:

@@ -113,6 +113,24 @@ class TestParseWriteRoundTrip:
         with pytest.raises(ReplayLogError, match="click"):
             list(parse_replay_log(path))
 
+    @pytest.mark.parametrize("field", ["user", "arms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_features_name_line(self, tmp_path, field, value):
+        records = synth_records(7, 3, n_arms=2, du=2, dv=2)
+        path = tmp_path / "log.jsonl"
+        write_replay_log(path, records)
+        lines = path.read_text().splitlines()
+        bad = json.loads(lines[1])
+        if field == "user":
+            bad["user"][0] = value
+        else:
+            bad["arms"][1][0] = value
+        # json writes (and parses) the NaN/Infinity literals; the log must not accept them
+        lines[1] = json.dumps(bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReplayLogError, match="line 2.*finite"):
+            list(parse_replay_log(path))
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         doc = {"user": [0.1], "arms": [[0.2]], "displayed": 1, "click": 0, "extra": 1}
