@@ -25,16 +25,11 @@ def random_design(rng, d1, d2, n_arms, ridge, n_updates, scale=1.0):
     return bd
 
 
-def one_hot_rhs(u, n_arms):
-    """Block right-hand side of the embedded vector u: (x, zeros with z in u's arm row)."""
-    b_arms = np.zeros((n_arms, u.z.shape[0]))
-    b_arms[u.arm] = u.z
-    return u.x, b_arms
-
-
 def solve_dense_view(bd, u):
-    """``M^{-1} u`` through ``solve_blocks``, flattened to a (d1 + d2*K)-vector."""
-    y0, y_arms = bd.solve_blocks(*one_hot_rhs(u, bd.n_arms))
+    """``M^{-1} u`` through ``solve_blocks`` with a one-hot block right-hand side."""
+    b_arms = np.zeros((bd.n_arms, bd.d2))
+    b_arms[u.arm] = u.z
+    y0, y_arms = bd.solve_blocks(u.x, b_arms)
     return np.concatenate([y0, y_arms.ravel()])
 
 
