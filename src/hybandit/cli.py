@@ -5,7 +5,7 @@ Commands
     hybandit gen-env   --config cfg.json --out env.json
     hybandit run       [--config cfg.json] [--setting N] [--algos a,b] ...
     hybandit diagnose  [--config cfg.json] ...
-    hybandit replay    --log file.jsonl [--config cfg.json] ...
+    hybandit replay    --log file.jsonl [--train-n N] [--T rounds] ...
     hybandit summarize --regret regret.csv [--out-dir DIR]
 
 Option precedence is flags > config file > defaults.  Output files land in
@@ -39,7 +39,12 @@ from .harness import (
     write_summary_csv,
 )
 from .policies import ALGORITHMS, ORACLE
-from .replay import ReplayLogError, parse_replay_log, semi_synthetic_environment
+from .replay import (
+    ReplayContextStream,
+    ReplayLogError,
+    parse_replay_log,
+    semi_synthetic_environment,
+)
 from .rng import derive_seed
 
 
@@ -300,8 +305,21 @@ def cmd_replay(args) -> int:
     seed = int(_pick(args, cfg, "seed", "seed", 0))
     out = _out_dir(args, cfg)
 
+    horizon = _pick(args, cfg, "T", "T", None)
     records = list(parse_replay_log(log_path))
     learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=ridge)
+    if horizon is not None:
+        horizon = int(horizon)
+        if horizon < 1:
+            raise ConfigError(f"T must be positive, got {horizon}")
+        if horizon > stream_ctx.T:
+            raise ConfigError(
+                f"T={horizon} exceeds the {stream_ctx.T} rounds the log has left "
+                f"after train_n={train_n}"
+            )
+        stream_ctx = ReplayContextStream(
+            stream_ctx.records[:horizon], stream_ctx.user_scale, stream_ctx.arm_scale
+        )
     env = Environment(0, derive_seed(seed, 0), learned.params, stream_ctx, noise_std)
     print(
         f"replaying {stream_ctx.T} rounds (trained on {train_n} records, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockDesign, SymPosDef, max_singular_value, sym_eigenvalues
+from .linalg import BlockDesign, SymPosDef
 from .model import HybridParams
 from .policies import (
     ALGORITHMS,
@@ -259,19 +259,30 @@ class PulledFeatureTracker:
     Kept separate from the policy's own design so the diversity diagnostics
     use a fixed unit ridge no matter which regularizer the policy runs with,
     and so they exist for policies (like the oracle) that keep no design at
-    all.  Also carries the running elliptic-potential sum of the shared
-    features, from its own unit-ridge shared Gram matrix.
+    all.  Holds the unit-ridge blocks ``W`` (K, d2, d2) and ``B`` (K, d1, d2)
+    and the pull counts as plain arrays; the shared block ``V`` is the
+    entries of the unit-ridge ``SymPosDef`` that also carries the running
+    elliptic-potential sum of the shared features.
     """
 
     def __init__(self, d1: int, d2: int, n_arms: int):
-        self.design = BlockDesign(d1, d2, n_arms, 1.0)
         self.shared = SymPosDef(d1, 1.0)
+        self.W = np.repeat(np.eye(d2)[None, :, :], n_arms, axis=0)
+        self.B = np.zeros((n_arms, d1, d2))
+        self.pull_counts = np.zeros(n_arms, dtype=np.int64)
         self.elliptic_sum = 0.0
 
-    def record(self, u) -> None:
-        self.elliptic_sum += self.shared.quad_form_inv(u.x)
-        self.shared.rank_one_update(u.x)
-        self.design.block_update(u)
+    @property
+    def V(self) -> np.ndarray:
+        return self.shared.entries
+
+    def record(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
+        """Add one pulled (arm, x, z): V += x x^T, W_arm += z z^T, B_arm += x z^T."""
+        self.elliptic_sum += self.shared.quad_form_inv(x)
+        self.shared.rank_one_update(x)
+        self.W[arm] += np.outer(z, z)
+        self.B[arm] += np.outer(x, z)
+        self.pull_counts[arm] += 1
 
 
 def sample_diagnostics(
@@ -279,22 +290,22 @@ def sample_diagnostics(
     policy,
     params: HybridParams | None,
     round_index: int,
-    include_sandwich: bool = True,
 ) -> DiagnosticsSample:
     """Take one spectral snapshot of a trial in flight.
 
-    The diversity quantities come from the tracker; the sandwich spectrum
-    from the shared policy's own design (NaN otherwise, or when skipped via
-    ``include_sandwich`` -- it needs a full (d1 + d2*K)-dimensional
-    eigendecomposition); the confidence residual from whichever estimator the
-    policy maintains (NaN for the oracle, or when true parameters are
-    unavailable).
+    The diversity quantities come from the tracker, each as one batched
+    LAPACK call: lambda_min(V) from ``eigvalsh``, lambda_min(W_i) from one
+    ``eigvalsh`` over the (K, d2, d2) stack and sigma_max(B_i) from one
+    ``svd`` over the (K, d1, d2) stack.  The sandwich spectrum comes in
+    closed form from the shared policy's own design
+    (:meth:`BlockDesign.sandwich_spectrum`; NaN for other policies); the
+    confidence residual from whichever estimator the policy maintains (NaN
+    for the oracle, or when true parameters are unavailable).
     """
-    design = tracker.design
-    lam_v = float(sym_eigenvalues(design.V)[0])
-    lam_w = np.array([float(sym_eigenvalues(w)[0]) for w in design.W])
-    sig_b = np.array([max_singular_value(design.B[i]) for i in range(design.n_arms)])
-    if include_sandwich and isinstance(policy, SharedLinearUCB):
+    lam_v = float(np.linalg.eigvalsh(tracker.V)[0])
+    lam_w = np.linalg.eigvalsh(tracker.W)[:, 0]
+    sig_b = np.linalg.svd(tracker.B, compute_uv=False)[:, 0]
+    if isinstance(policy, SharedLinearUCB):
         smin, smax = policy.design.sandwich_spectrum()
     else:
         smin, smax = math.nan, math.nan
@@ -304,14 +315,14 @@ def sample_diagnostics(
     else:
         residual = math.nan
         gamma = getattr(getattr(policy, "config", None), "gamma", math.nan)
-    d1 = design.d1
+    d1 = tracker.V.shape[0]
     bound = 2.0 * d1 * math.log(1.0 + round_index / d1)
     return DiagnosticsSample(
         round_index=round_index,
         lambda_min_V=lam_v,
         lambda_min_W=lam_w,
         sigma_max_B=sig_b,
-        tau=design.pull_counts.copy(),
+        tau=tracker.pull_counts.copy(),
         sandwich_min=smin,
         sandwich_max=smax,
         conf_residual=residual,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .diagnostics import DiagnosticsTrace, PulledFeatureTracker, sample_diagnostics
 from .envs import SyntheticEnvConfig, generate_environment
-from .linalg import SparseHybridVector
 from .model import HybridParams, mean_rewards
 from .policies import (
     ALGORITHMS,
@@ -168,7 +167,6 @@ def run_trial(
     *,
     delta: float = 0.1,
     diagnostics_every: int = 0,
-    sandwich_every: int | None = None,
     lam: float | None = None,
     gamma: float | None = None,
 ) -> tuple[RegretTrace, DiagnosticsTrace | None]:
@@ -176,11 +174,9 @@ def run_trial(
 
     Reward noise comes from the (env_seed, trial) stream, drawn once per
     round independently of the chosen arm; contexts are shared by all trials
-    of the environment.  Diagnostics, when enabled, snapshot the design
-    spectra every ``diagnostics_every`` rounds.  The sandwich spectrum is an
-    O((d1 + d2*K)^3) eigendecomposition, so it follows its own stride:
-    ``sandwich_every=None`` samples it with the other diagnostics when the
-    embedded dimension is at most 64 and skips it otherwise; 0 disables it.
+    of the environment.  Diagnostics, when enabled, record every pulled
+    feature and snapshot the design spectra, the sandwich spectrum included,
+    every ``diagnostics_every`` rounds (see :func:`sample_diagnostics`).
     """
     params = env.params
     T = env.contexts.T
@@ -213,9 +209,6 @@ def run_trial(
         diag = DiagnosticsTrace(
             algo, env.env_id, trial_index, params.n_arms, params.d1, params.d2
         )
-        if sandwich_every is None:
-            dim = params.d1 + params.d2 * params.n_arms
-            sandwich_every = diagnostics_every if dim <= 64 else 0
     for t in range(T):
         ctx = env.contexts.round(t)
         arm = policy.select_arm(ctx)
@@ -226,12 +219,9 @@ def run_trial(
         cum[t] = total
         chosen[t] = arm
         if tracker is not None:
-            tracker.record(SparseHybridVector(arm, x, z))
+            tracker.record(arm, x, z)
             if (t + 1) % diagnostics_every == 0:
-                with_sandwich = sandwich_every > 0 and (t + 1) % sandwich_every == 0
-                diag.samples.append(
-                    sample_diagnostics(tracker, policy, params, t + 1, with_sandwich)
-                )
+                diag.samples.append(sample_diagnostics(tracker, policy, params, t + 1))
     trace = RegretTrace(algo, env.env_id, trial_index, env.env_seed, cum, chosen)
     return trace, diag
 

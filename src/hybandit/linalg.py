@@ -21,6 +21,8 @@ row-major.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -28,17 +30,12 @@ __all__ = [
     "SparseHybridVector",
     "BlockDesign",
     "sym_eigenvalues",
-    "jacobi_eigh",
     "hermitian_dilation",
-    "max_singular_value",
 ]
 
 # Full re-inversion cadence for Sherman-Morrison maintained inverses; bounds
 # floating-point drift over long runs at negligible amortized cost.
 INVERSE_REFRESH_EVERY = 10_000
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -260,7 +257,7 @@ class BlockDesign:
         return np.maximum(vals, 0.0)
 
     def assemble_dense(self) -> np.ndarray:
-        """Materialize the full (d1 + d2*K)^2 matrix (diagnostics/tests only)."""
+        """Materialize the full (d1 + d2*K)^2 matrix (dense test oracles only)."""
         n = self.dim
         m = np.zeros((n, n))
         m[: self.d1, : self.d1] = self.V
@@ -274,22 +271,31 @@ class BlockDesign:
     def sandwich_spectrum(self) -> tuple[float, float]:
         """Extreme eigenvalues of ``U^{-1/2} M U^{-1/2}`` with U = blockdiag(V, W_1..W_K).
 
-        Equals (1, 1) exactly when all cross blocks vanish; otherwise the
-        spectrum is symmetric about 1 and its spread measures how far M is
-        from its block-diagonal part.
+        With G = V^{-1/2} [B_1 W_1^{-1/2} ... B_K W_K^{-1/2}],
+
+            U^{-1/2} M U^{-1/2} = I + [[0, G], [G^T, 0]],
+
+        the identity plus the Hermitian dilation of G, whose eigenvalues are
+        the singular values of G with both signs (padded with zeros).  So the
+        spectrum is symmetric about 1 and its extremes are exactly
+        1 -/+ sigma_max(G), where
+
+            sigma_max(G)^2 = lambda_max(G G^T) = lambda_max(V^{-1/2} S V^{-1/2}),
+            S = sum_i B_i W_i^{-1} B_i^T = sum_i C_i B_i^T.
+
+        That costs one einsum over the ``C`` stack and two d1 x d1 symmetric
+        eigensolves (V^{-1/2} from one of V), O(d1^3 + K d1^2 d2), instead of
+        a dense (d1 + d2 K)-dimensional eigenproblem.  Returns (1, 1) exactly
+        when all cross blocks vanish.
         """
         if not np.any(self.B):
             return (1.0, 1.0)
-        blocks = [_inv_sqrt(self.V)] + [_inv_sqrt(w) for w in self.W]
-        n = self.dim
-        u_inv_half = np.zeros((n, n))
-        u_inv_half[: self.d1, : self.d1] = blocks[0]
-        for i in range(self.n_arms):
-            sl = slice(self.d1 + i * self.d2, self.d1 + (i + 1) * self.d2)
-            u_inv_half[sl, sl] = blocks[i + 1]
-        g = u_inv_half @ self.assemble_dense() @ u_inv_half
-        vals = sym_eigenvalues(symmetrize(g))
-        return float(vals[0]), float(vals[-1])
+        s = np.einsum("kab,kcb->ac", self.C, self.B)
+        w, q = np.linalg.eigh(self.V)
+        v_inv_half = (q / np.sqrt(w)) @ q.T
+        lam = float(np.linalg.eigvalsh(symmetrize(v_inv_half @ s @ v_inv_half))[-1])
+        sigma = math.sqrt(max(0.0, lam))
+        return 1.0 - sigma, 1.0 + sigma
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -302,70 +308,9 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return symmetrize(a)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = _JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps Givens rotations over all index pairs until the off-diagonal
-    Frobenius mass drops below ``tol`` times the matrix norm.  Returns
-    eigenvalues in ascending order and the matching orthonormal eigenvectors
-    as columns.
-    """
-    a = _check_symmetric(a).copy()
-    n = a.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return a[0].copy(), vecs
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), vecs
-    # Rotations with |a_pq| below this leave the off-diagonal mass within tol.
-    skip = tol * norm / (10.0 * n * n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.sqrt(np.sum(a[off_mask] ** 2)))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    else:  # pragma: no cover - cyclic Jacobi always converges in practice
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def sym_eigenvalues(a: np.ndarray, tol: float = _JACOBI_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    return jacobi_eigh(a, tol=tol)[0]
-
-
-def _inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    vals, vecs = jacobi_eigh(a)
-    if vals[0] <= 0.0:
-        raise ValueError("matrix is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    return np.linalg.eigvalsh(_check_symmetric(a))
 
 
 def hermitian_dilation(b: np.ndarray) -> np.ndarray:
@@ -383,12 +328,3 @@ def hermitian_dilation(b: np.ndarray) -> np.ndarray:
     out[:p, p:] = b
     out[p:, :p] = b.T
     return out
-
-
-def max_singular_value(b: np.ndarray) -> float:
-    """Largest singular value of ``b``, via its Hermitian dilation."""
-    b = np.asarray(b, dtype=float)
-    if not np.any(b):
-        return 0.0
-    vals = sym_eigenvalues(hermitian_dilation(b))
-    return float(vals[-1])

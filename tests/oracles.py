@@ -53,6 +53,25 @@ def dense_ridge(rows: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(rows.T @ rows + lam * np.eye(dim), rows.T @ ys)
 
 
+def sandwich_spectrum_dense(design) -> tuple[float, float]:
+    """Extreme eigenvalues of ``U^{-1/2} M U^{-1/2}`` from the dense design matrix.
+
+    M comes from ``assemble_dense``, U is its block-diagonal part
+    (V, W_1, ..., W_K), and U^{-1/2} is the symmetric inverse square root
+    from a LAPACK eigendecomposition of U.
+    """
+    m = design.assemble_dense()
+    u = np.zeros_like(m)
+    u[: design.d1, : design.d1] = m[: design.d1, : design.d1]
+    for i in range(design.n_arms):
+        sl = slice(design.d1 + i * design.d2, design.d1 + (i + 1) * design.d2)
+        u[sl, sl] = m[sl, sl]
+    w, q = np.linalg.eigh(u)
+    u_inv_half = (q / np.sqrt(w)) @ q.T
+    vals = np.linalg.eigvalsh(u_inv_half @ m @ u_inv_half)
+    return float(vals[0]), float(vals[-1])
+
+
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients via the Faddeev-LeVerrier recursion.
 

@@ -158,6 +158,32 @@ class TestReplay:
         rows = [line.split(",") for line in rel[1:]]
         assert all(float(r[3]) >= 0.0 for r in rows)
 
+    def test_T_replays_first_rounds_only(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(5, 400, n_arms=4))
+        rc = run_cli(
+            "replay", "--log", str(log), "--train-n", "300", "--T", "40",
+            "--algos", "hylinucb,linucb", "--out-dir", str(tmp_path),
+        )
+        assert rc == 0
+        regret = (tmp_path / "replay_regret.csv").read_text().splitlines()
+        assert len(regret) == 1 + 2 * 40
+        assert [int(r.split(",")[3]) for r in regret[1:41]] == list(range(1, 41))
+        rel = (tmp_path / "replay_relative.csv").read_text().splitlines()
+        assert len(rel) == 1 + 2 * 40
+
+    def test_T_beyond_log_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(5, 400, n_arms=4))
+        rc = run_cli(
+            "replay", "--log", str(log), "--train-n", "300", "--T", "101",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "101" in err and "100" in err
+        assert not (tmp_path / "replay_regret.csv").exists()
+
     def test_train_n_too_large_exits_1(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_replay_log(log, synth_records(6, 50, n_arms=3))

@@ -6,10 +6,12 @@ import pytest
 from hybandit.diagnostics import (
     DiagnosticsSample,
     DiagnosticsTrace,
+    PulledFeatureTracker,
     check_confidence,
     check_elliptic_potential,
     check_sandwich,
     shared_confidence_residual,
+    sample_diagnostics,
     theory_constants,
     unit_ball_diversity,
     validate_assumption,
@@ -211,7 +213,7 @@ class TestValidateAssumption:
         env = synthetic_environment(
             SyntheticEnvConfig(d1=5, d2=5, n_arms=5, T=4000, noise_std=0.1, env_seed=21)
         )
-        _, diag = run_trial("hylinucb", env, 0, diagnostics_every=200, sandwich_every=0)
+        _, diag = run_trial("hylinucb", env, 0, diagnostics_every=200)
         rho = unit_ball_diversity(5, 5)
         report = validate_assumption(diag, rho)
         assert report.v_slope == pytest.approx(rho, rel=0.3)
@@ -221,7 +223,7 @@ class TestValidateAssumption:
         env = synthetic_environment(
             SyntheticEnvConfig(d1=4, d2=4, n_arms=4, T=2000, noise_std=0.1, env_seed=22)
         )
-        _, diag = run_trial("linucb", env, 0, diagnostics_every=100, sandwich_every=0)
+        _, diag = run_trial("linucb", env, 0, diagnostics_every=100)
         report = validate_assumption(diag, unit_ball_diversity(4, 4))
         assert report.b_norm_ok
         assert report.b_ratio_max <= report.b_ratio_bound
@@ -232,3 +234,57 @@ class TestValidateAssumption:
             validate_assumption(trace, 0.1)
         with pytest.raises(ValueError):
             validate_assumption(DiagnosticsTrace("x", 0, 0, 2, 3, 2), 0.1)
+
+
+class TestSampleDiagnostics:
+    def recorded_tracker(self, rng, d1, d2, n_arms, n):
+        tracker = PulledFeatureTracker(d1, d2, n_arms)
+        for _ in range(n):
+            tracker.record(
+                int(rng.integers(n_arms)), sample_unit_ball(rng, d1), sample_unit_ball(rng, d2)
+            )
+        return tracker
+
+    def test_tracker_blocks_match_dense_accumulation(self, rng):
+        d1, d2, n_arms = 3, 2, 4
+        tracker = PulledFeatureTracker(d1, d2, n_arms)
+        v, w, b = np.eye(d1), np.repeat(np.eye(d2)[None], n_arms, axis=0), np.zeros((n_arms, d1, d2))
+        for _ in range(50):
+            arm, x, z = int(rng.integers(n_arms)), sample_unit_ball(rng, d1), sample_unit_ball(rng, d2)
+            tracker.record(arm, x, z)
+            v += np.outer(x, x)
+            w[arm] += np.outer(z, z)
+            b[arm] += np.outer(x, z)
+        assert np.allclose(tracker.V, v, atol=1e-12)
+        assert np.allclose(tracker.W, w, atol=1e-12)
+        assert np.allclose(tracker.B, b, atol=1e-12)
+        assert tracker.pull_counts.sum() == 50
+
+    def test_batched_spectra_match_per_arm_loops(self, rng):
+        tracker = self.recorded_tracker(rng, 4, 3, 5, 200)
+        sample = sample_diagnostics(tracker, None, None, 200)
+        lam_w = [np.linalg.eigvalsh(w)[0] for w in tracker.W]
+        sig_b = [np.linalg.svd(b, compute_uv=False)[0] for b in tracker.B]
+        assert np.allclose(sample.lambda_min_W, lam_w, rtol=1e-12, atol=0.0)
+        assert np.allclose(sample.sigma_max_B, sig_b, rtol=1e-12, atol=0.0)
+        assert sample.lambda_min_V == pytest.approx(np.linalg.eigvalsh(tracker.V)[0], rel=1e-12)
+        assert math.isnan(sample.sandwich_min) and math.isnan(sample.conf_residual)
+
+    def test_unpulled_arm_has_unit_eigenvalue_and_zero_cross_norm(self, rng):
+        tracker = PulledFeatureTracker(3, 2, 3)
+        tracker.record(1, sample_unit_ball(rng, 3), sample_unit_ball(rng, 2))
+        sample = sample_diagnostics(tracker, None, None, 1)
+        assert sample.sigma_max_B[0] == 0.0 and sample.sigma_max_B[2] == 0.0
+        assert sample.lambda_min_W[0] == pytest.approx(1.0, abs=1e-15)
+        assert list(sample.tau) == [0, 1, 0]
+
+    def test_sandwich_sampled_above_dimension_64(self):
+        # d1 + d2*K = 4 + 3*30 = 94: sampled with every diagnostics sample
+        env = synthetic_environment(
+            SyntheticEnvConfig(d1=4, d2=3, n_arms=30, T=300, noise_std=0.1, env_seed=23)
+        )
+        _, diag = run_trial("hylinucb", env, 0, diagnostics_every=100)
+        assert len(diag.samples) == 3
+        for s in diag.samples:
+            assert math.isfinite(s.sandwich_min) and math.isfinite(s.sandwich_max)
+            assert s.sandwich_min + s.sandwich_max == pytest.approx(2.0, abs=1e-12)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from hybandit.diagnostics import PulledFeatureTracker, sample_diagnostics
 from hybandit.linalg import (
     BlockDesign,
     SparseHybridVector,
     SymPosDef,
     hermitian_dilation,
-    jacobi_eigh,
-    max_singular_value,
     sym_eigenvalues,
 )
+from hybandit.policies import HYLINUCB, PolicyConfig, SharedLinearUCB
 
-from oracles import eigenvalues_by_char_poly
+from oracles import eigenvalues_by_char_poly, sandwich_spectrum_dense
 
 
 def random_design(rng, d1, d2, n_arms, ridge, n_updates, scale=1.0):
@@ -331,13 +331,6 @@ class TestEigensolver:
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(got - ref)) < 1e-9 * scale
 
-    def test_eigenvectors_reconstruct(self, rng):
-        a = rng.standard_normal((9, 9))
-        a = a + a.T
-        vals, vecs = jacobi_eigh(a)
-        assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - a)) < 1e-10
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
-
     def test_rejects_nonsymmetric(self, rng):
         with pytest.raises(ValueError):
             sym_eigenvalues(rng.standard_normal((4, 4)))
@@ -370,6 +363,13 @@ class TestHermitianDilation:
             expected = np.sort(np.concatenate([sv, -sv, np.zeros(abs(p - q))]))
             got = sym_eigenvalues(hermitian_dilation(b))
             assert np.max(np.abs(got - expected)) < 1e-8
+
+
+def max_singular_value(b):
+    """sigma_max of one matrix through the batched stack path of ``sample_diagnostics``."""
+    tracker = PulledFeatureTracker(b.shape[0], b.shape[1], 1)
+    tracker.B[0] = b
+    return float(sample_diagnostics(tracker, None, None, 1).sigma_max_B[0])
 
 
 class TestMaxSingularValue:
@@ -435,3 +435,29 @@ class TestSandwichSpectrum:
         smin, smax = bd.sandwich_spectrum()
         assert smax == pytest.approx(1.0 + sigma, abs=1e-9)
         assert smin == pytest.approx(1.0 - sigma, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "d1, d2, n_arms", [(8, 2, 3), (3, 2, 5)], ids=["d2K_below_d1", "d2K_above_d1"]
+    )
+    def test_closed_form_matches_dense_oracle(self, rng, d1, d2, n_arms):
+        bd = random_design(rng, d1, d2, n_arms, 1.0, 80)
+        got = bd.sandwich_spectrum()
+        ref = sandwich_spectrum_dense(bd)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-10
+
+    def test_hylinucb_design_matches_dense_oracle_across_refresh(self, rng, monkeypatch):
+        monkeypatch.setattr("hybandit.linalg.INVERSE_REFRESH_EVERY", 50)
+        d1, d2, n_arms = 4, 3, 3
+        cfg = PolicyConfig.create(HYLINUCB, d1=d1, d2=d2, n_arms=n_arms, S=1.0, T=200)
+        assert cfg.lam == n_arms
+        pol = SharedLinearUCB(cfg)
+        for step in range(1, 121):
+            x = rng.standard_normal(d1)
+            x *= rng.random() / np.linalg.norm(x)
+            z = rng.standard_normal(d2)
+            z *= rng.random() / np.linalg.norm(z)
+            pol.update(int(rng.integers(n_arms)), x, z, float(rng.standard_normal()))
+            if step in (49, 50, 51, 120):
+                got = pol.design.sandwich_spectrum()
+                ref = sandwich_spectrum_dense(pol.design)
+                assert np.max(np.abs(np.subtract(got, ref))) <= 1e-10, step
