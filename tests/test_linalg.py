@@ -447,6 +447,11 @@ class TestSandwichSpectrum:
 
     def test_hylinucb_design_matches_dense_oracle_across_refresh(self, rng, monkeypatch):
         monkeypatch.setattr("hybandit.linalg.INVERSE_REFRESH_EVERY", 50)
+        refreshes = []
+        original = BlockDesign.refresh
+        monkeypatch.setattr(
+            BlockDesign, "refresh", lambda self: (refreshes.append(self.t), original(self))
+        )
         d1, d2, n_arms = 4, 3, 3
         cfg = PolicyConfig.create(HYLINUCB, d1=d1, d2=d2, n_arms=n_arms, S=1.0, T=200)
         assert cfg.lam == n_arms
@@ -461,3 +466,4 @@ class TestSandwichSpectrum:
                 got = pol.design.sandwich_spectrum()
                 ref = sandwich_spectrum_dense(pol.design)
                 assert np.max(np.abs(np.subtract(got, ref))) <= 1e-10, step
+        assert refreshes == [50, 100]
