@@ -141,7 +141,7 @@ def _build_spec(args, cfg: dict, *, diagnostics_default: int = 0) -> ExperimentS
     if isinstance(k_grid, str):
         k_grid = tuple(int(k) for k in k_grid.split(",") if k.strip())
     try:
-        return experiment_spec(
+        spec = experiment_spec(
             setting,
             algos=tuple(algos),
             n_envs=int(_pick(args, cfg, "n_envs", "n_envs", 5)),
@@ -163,6 +163,9 @@ def _build_spec(args, cfg: dict, *, diagnostics_default: int = 0) -> ExperimentS
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if spec.T < 2:
+        raise ConfigError(f"horizon T must be at least 2, got {spec.T}")
+    return spec
 
 
 def _dim(args, cfg: dict, key: str, shape_name: str) -> int:
@@ -306,12 +309,13 @@ def cmd_replay(args) -> int:
     out = _out_dir(args, cfg)
 
     horizon = _pick(args, cfg, "T", "T", None)
+    if horizon is not None:
+        horizon = int(horizon)
+        if horizon < 2:
+            raise ConfigError(f"horizon T must be at least 2, got {horizon}")
     records = list(parse_replay_log(log_path))
     learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=ridge)
     if horizon is not None:
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ConfigError(f"T must be positive, got {horizon}")
         if horizon > stream_ctx.T:
             raise ConfigError(
                 f"T={horizon} exceeds the {stream_ctx.T} rounds the log has left "
@@ -327,7 +331,7 @@ def cmd_replay(args) -> int:
         file=sys.stderr,
     )
     runs = [(algo, trial) for algo in sorted(algos) for trial in range(n_trials)]
-    traces = [harness.run_trial(algo, env, trial, delta=delta)[0] for algo, trial in runs]
+    traces = [trace for trace, _ in harness.run_traces(env, runs, delta=delta)]
     write_regret_csv(out / "replay_regret.csv", traces, stride=1)
     curves = harness.aggregate_traces(traces)
     best = np.min(np.stack([c.mean for c in curves.values()]), axis=0)
@@ -364,14 +368,9 @@ def cmd_summarize(args) -> int:
     t_max = max(rounds.values()) if rounds else 0
     for (algo, _, _), val in sorted(finals.items()):
         by_algo.setdefault(algo, []).append(val)
-    rows = [
-        harness.SummaryRow(
-            algo, 0, 0, 0, t_max, float(np.mean(vals)), float(np.std(vals)), len(vals)
-        )
-        for algo, vals in sorted(by_algo.items())
-    ]
     out = _out_dir(args, {})
-    write_summary_csv(out / "summary.csv", rows)
+    # a regret CSV does not carry K, d1 or d2, so those fields stay empty
+    write_summary_csv(out / "summary.csv", harness.summary_rows(by_algo, t_max))
     print(f"wrote {out / 'summary.csv'}", file=sys.stderr)
     return 0
 

@@ -46,11 +46,10 @@ class SyntheticEnvConfig:
     noise_std: float = 0.1
     S: float = 1.0
     env_seed: int = 0
-    n_trials: int = 1
 
     def __post_init__(self):
-        if min(self.d1, self.d2, self.n_arms, self.T, self.n_trials) < 1:
-            raise ValueError("d1, d2, n_arms, T and n_trials must be positive")
+        if min(self.d1, self.d2, self.n_arms, self.T) < 1:
+            raise ValueError("d1, d2, n_arms and T must be positive")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
         if self.S <= 0:
@@ -74,9 +73,6 @@ class SyntheticContextStream:
         xs = sample_unit_ball(rng, self.cfg.d1, self.cfg.n_arms)
         zs = sample_unit_ball(rng, self.cfg.d2, self.cfg.n_arms)
         return ContextRound(xs, zs)
-
-    def __iter__(self):
-        return (self.round(t) for t in range(self.cfg.T))
 
 
 def generate_environment(cfg: SyntheticEnvConfig) -> tuple[HybridParams, SyntheticContextStream]:

@@ -8,8 +8,10 @@ package reproduces) are
     setting 3: d1=5,  d2=5,  T=30000, K swept over a grid
 
 each run over ``n_envs`` independently seeded environments with ``n_trials``
-reward-noise trials per environment.  Trials are embarrassingly parallel;
-results are merged in a fixed order so output files are byte-stable.
+reward-noise trials per environment.  :func:`run_traces` steps all runs of
+an environment in lockstep, drawing each round's contexts once; a pool runs
+groups of them (see :func:`run_experiment`).  Results are merged in a fixed
+order so output files are byte-stable.
 """
 
 from __future__ import annotations
@@ -160,78 +162,77 @@ class RegretTrace:
         return float(self.cum_regret[-1])
 
 
-def run_trial(
-    algo: str,
-    env: Environment,
-    trial_index: int,
-    *,
-    delta: float = 0.1,
-    diagnostics_every: int = 0,
-    lam: float | None = None,
-    gamma: float | None = None,
-) -> tuple[RegretTrace, DiagnosticsTrace | None]:
-    """Run one policy through one environment for a full horizon.
+def run_traces(
+    env: Environment, runs, *, delta: float = 0.1, diagnostics_every: int = 0
+) -> list[tuple[RegretTrace, DiagnosticsTrace | None]]:
+    """Step every ``(algo, trial)`` pair of ``runs`` through one environment in lockstep.
 
-    Reward noise comes from the (env_seed, trial) stream, drawn once per
-    round independently of the chosen arm; contexts are shared by all trials
-    of the environment.  Diagnostics, when enabled, record every pulled
-    feature and snapshot the design spectra, the sandwich spectrum included,
-    every ``diagnostics_every`` rounds (see :func:`sample_diagnostics`).
+    Each round's contexts, mean rewards and best mean are computed once and
+    shared by all runs: every algorithm and trial of an environment sees the
+    same context sequence.  Each run keeps its own policy, reward noise from
+    the (env_seed, trial) stream (drawn once per round independently of the
+    chosen arm) and regret trace, so its outputs do not depend on which runs
+    share the loop.  With ``diagnostics_every`` > 0 a run also records every
+    pulled feature and snapshots the design spectra, the sandwich spectrum
+    included, every ``diagnostics_every`` rounds (see :func:`sample_diagnostics`).
+    Returns one ``(trace, diagnostics or None)`` pair per run, in order.
     """
-    params = env.params
+    p = env.params
     T = env.contexts.T
-    if algo == ORACLE:
-        policy = OraclePolicy(params)
-    else:
-        config = PolicyConfig.create(
-            algo,
-            d1=params.d1,
-            d2=params.d2,
-            n_arms=params.n_arms,
-            S=params.S,
-            T=T,
-            delta=delta,
-            lam=lam,
-            gamma=gamma,
-        )
-        policy = make_policy(config)
-    if env.noise_std > 0:
-        noise = env.noise_std * stream(env.env_seed, trial_index, 0, "noise").standard_normal(T)
-    else:
+    policy_args = dict(d1=p.d1, d2=p.d2, n_arms=p.n_arms, S=p.S, T=T, delta=delta)
+    states = []
+    for algo, trial in runs:
+        if algo == ORACLE:
+            policy = OraclePolicy(p)
+        else:
+            policy = make_policy(PolicyConfig.create(algo, **policy_args))
         noise = np.zeros(T)
-    cum = np.empty(T)
-    chosen = np.empty(T, dtype=np.int64)
-    total = 0.0
-    tracker = None
-    diag = None
-    if diagnostics_every > 0:
-        tracker = PulledFeatureTracker(params.d1, params.d2, params.n_arms)
-        diag = DiagnosticsTrace(
-            algo, env.env_id, trial_index, params.n_arms, params.d1, params.d2
+        if env.noise_std > 0:
+            noise = env.noise_std * stream(env.env_seed, trial, 0, "noise").standard_normal(T)
+        trace = RegretTrace(
+            algo, env.env_id, trial, env.env_seed, np.empty(T), np.empty(T, dtype=np.int64)
         )
+        tracker = diag = None
+        if diagnostics_every > 0:
+            tracker = PulledFeatureTracker(p.d1, p.d2, p.n_arms)
+            diag = DiagnosticsTrace(algo, env.env_id, trial, p.n_arms, p.d1, p.d2)
+        states.append((policy, noise, trace, tracker, diag))
     for t in range(T):
         ctx = env.contexts.round(t)
-        arm = policy.select_arm(ctx)
-        means = mean_rewards(params, ctx)
-        x, z = ctx.arm(arm)
-        policy.update(arm, x, z, float(means[arm] + noise[t]))
-        total += max(0.0, float(np.max(means) - means[arm]))
-        cum[t] = total
-        chosen[t] = arm
-        if tracker is not None:
-            tracker.record(arm, x, z)
-            if (t + 1) % diagnostics_every == 0:
-                diag.samples.append(sample_diagnostics(tracker, policy, params, t + 1))
-    trace = RegretTrace(algo, env.env_id, trial_index, env.env_seed, cum, chosen)
-    return trace, diag
+        means = mean_rewards(p, ctx)
+        best = float(np.max(means))
+        for policy, noise, trace, tracker, diag in states:
+            arm = policy.select_arm(ctx)
+            x, z = ctx.arm(arm)
+            policy.update(arm, x, z, float(means[arm] + noise[t]))
+            before = trace.cum_regret[t - 1] if t else 0.0
+            trace.cum_regret[t] = before + max(0.0, best - float(means[arm]))
+            trace.chosen[t] = arm
+            if tracker is not None:
+                tracker.record(arm, x, z)
+                if (t + 1) % diagnostics_every == 0:
+                    diag.samples.append(sample_diagnostics(tracker, policy, p, t + 1))
+    return [(trace, diag) for _, _, trace, _, diag in states]
+
+
+def run_trial(
+    algo: str, env: Environment, trial_index: int, **kwargs
+) -> tuple[RegretTrace, DiagnosticsTrace | None]:
+    """One run through one environment: :func:`run_traces` of ``[(algo, trial_index)]``."""
+    return run_traces(env, [(algo, trial_index)], **kwargs)[0]
+
+
+def _run_group_job(args) -> list[tuple[RegretTrace, DiagnosticsTrace | None]]:
+    """Pool job: one :func:`run_traces` over a group of one environment's runs."""
+    cfg, env_id, runs, delta, diagnostics_every = args
+    env = synthetic_environment(cfg, env_id)
+    return run_traces(env, runs, delta=delta, diagnostics_every=diagnostics_every)
 
 
 def _run_synthetic_job(args) -> tuple[RegretTrace, DiagnosticsTrace | None]:
-    cfg, env_id, algo, trial_index, delta, diagnostics_every = args
-    env = synthetic_environment(cfg, env_id)
-    return run_trial(
-        algo, env, trial_index, delta=delta, diagnostics_every=diagnostics_every
-    )
+    """One-run job; only the benchmark's span tracer (``perfbench/spans.py``) uses it."""
+    cfg, env_id, algo, trial, delta, diagnostics_every = args
+    return _run_group_job((cfg, env_id, [(algo, trial)], delta, diagnostics_every))[0]
 
 
 @dataclass
@@ -271,10 +272,12 @@ def aggregate_traces(traces: list[RegretTrace]) -> dict[str, AggregateCurve]:
 
 @dataclass
 class SummaryRow:
+    """One summary line; shape fields a source does not carry are None (written empty)."""
+
     algo: str
-    n_arms: int
-    d1: int
-    d2: int
+    n_arms: int | None
+    d1: int | None
+    d2: int | None
     T: int
     mean_final_regret: float
     std_final_regret: float
@@ -290,31 +293,30 @@ class ExperimentResult:
     summary: list[SummaryRow] = field(default_factory=list)
 
 
+def summary_rows(
+    finals: dict[str, list[float]], T: int, n_arms=None, d1=None, d2=None
+) -> list[SummaryRow]:
+    """One row per algorithm: mean and std of its trials' final regrets; shapes may be None."""
+    return [
+        SummaryRow(algo, n_arms, d1, d2, T, float(np.mean(v)), float(np.std(v)), len(v))
+        for algo, v in sorted(finals.items())
+    ]
+
+
 def _summary_rows(spec: ExperimentSpec, traces: list[RegretTrace]) -> list[SummaryRow]:
-    rows = []
     finals: dict[str, list[float]] = {}
     for tr in sorted(traces, key=lambda tr: (tr.algo, tr.env_id, tr.trial_id)):
         finals.setdefault(tr.algo, []).append(tr.final_regret)
-    for algo in sorted(finals):
-        vals = np.array(finals[algo])
-        rows.append(
-            SummaryRow(
-                algo,
-                spec.n_arms,
-                spec.d1,
-                spec.d2,
-                spec.T,
-                float(np.mean(vals)),
-                float(np.std(vals)),
-                len(vals),
-            )
-        )
-    return rows
+    return summary_rows(finals, spec.T, spec.n_arms, spec.d1, spec.d2)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (environment, algorithm, trial) combination of a spec.
 
+    Each environment's runs are dealt round-robin into
+    ``min(len(runs), ceil(threads / n_envs))`` groups, and each group is one
+    job running one :func:`run_traces`: with one thread every environment is
+    a single job, and a single environment still fills a pool of workers.
     Setting 3 sweeps the K grid, rerunning the spec once per arm count; the
     summary then has one row per (algorithm, K).
     """
@@ -331,6 +333,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         curves = aggregate_traces(traces)
         return ExperimentResult(spec, traces, diagnostics, curves, summary)
 
+    runs = [(algo, trial) for algo in spec.algos for trial in range(spec.n_trials)]
+    groups = min(len(runs), math.ceil(spec.threads / spec.n_envs))
     jobs = []
     for env_idx in range(spec.n_envs):
         cfg = SyntheticEnvConfig(
@@ -341,18 +345,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             noise_std=spec.noise_std,
             S=spec.S,
             env_seed=derive_seed(spec.base_seed, env_idx),
-            n_trials=spec.n_trials,
         )
-        for algo in spec.algos:
-            for trial in range(spec.n_trials):
-                jobs.append((cfg, env_idx, algo, trial, spec.delta, spec.diagnostics_every))
+        for g in range(groups):
+            jobs.append((cfg, env_idx, runs[g::groups], spec.delta, spec.diagnostics_every))
 
-    results: list[tuple[RegretTrace, DiagnosticsTrace | None]]
     if spec.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(_run_synthetic_job, jobs, chunksize=1))
+            results = [pair for group in pool.map(_run_group_job, jobs) for pair in group]
     else:
-        results = [_run_synthetic_job(job) for job in jobs]
+        results = [pair for job in jobs for pair in _run_group_job(job)]
 
     traces = [trace for trace, _ in results]
     diagnostics = [diag for _, diag in results if diag is not None]
@@ -392,9 +393,10 @@ def write_regret_csv(path, traces: list[RegretTrace], stride: int = 1) -> None:
 def write_summary_csv(path, rows: list[SummaryRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("algo,K,d1,d2,T,mean_final_regret,std_final_regret,n_trials\n")
-        for row in sorted(rows, key=lambda r: (r.algo, r.n_arms)):
+        for row in sorted(rows, key=lambda r: (r.algo, r.n_arms or 0)):
+            k, d1, d2 = ("" if v is None else v for v in (row.n_arms, row.d1, row.d2))
             fh.write(
-                f"{row.algo},{row.n_arms},{row.d1},{row.d2},{row.T},"
+                f"{row.algo},{k},{d1},{d2},{row.T},"
                 f"{_fmt(row.mean_final_regret)},{_fmt(row.std_final_regret)},{row.n_trials}\n"
             )
 

@@ -178,18 +178,19 @@ class BlockDesign:
     def dim(self) -> int:
         return self.d1 + self.d2 * self.n_arms
 
-    def block_update(self, u: SparseHybridVector) -> None:
+    def block_update(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
         """Add the rank-one term of one observation: V += x x^T, W_arm += z z^T, B_arm += x z^T."""
-        if u.x.shape != (self.d1,) or u.z.shape != (self.d2,):
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        if x.shape != (self.d1,) or z.shape != (self.d2,):
             raise ValueError(
-                f"feature dims {u.x.shape}/{u.z.shape} do not match design "
+                f"feature dims {x.shape}/{z.shape} do not match design "
                 f"({self.d1},)/({self.d2},)"
             )
-        if not 0 <= u.arm < self.n_arms:
-            raise ValueError(f"arm {u.arm} out of range for {self.n_arms} arms")
-        if not (np.isfinite(u.x).all() and np.isfinite(u.z).all()):
+        a = int(arm)
+        if not 0 <= a < self.n_arms:
+            raise ValueError(f"arm {arm} out of range for {self.n_arms} arms")
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise ValueError("features must be finite")
-        a, x, z = u.arm, u.x, u.z
         g = self.W_inv[a] @ z
         s = 1.0 + float(z @ g)
         r = x - self.C[a] @ z

@@ -53,14 +53,16 @@ class HybridParams:
 
 @dataclass(frozen=True)
 class ContextRound:
-    """The K feature tuples presented in one round, stacked per arm."""
+    """The K feature tuples of one round, stacked per arm; read-only views, as rounds are shared."""
 
     xs: np.ndarray  # (K, d1)
     zs: np.ndarray  # (K, d2)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "zs", np.asarray(self.zs, dtype=float))
+        for name in ("xs", "zs"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         if self.xs.ndim != 2 or self.zs.ndim != 2 or self.xs.shape[0] != self.zs.shape[0]:
             raise ValueError("xs and zs must be (K, d1) and (K, d2) stacks")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INVERSE_REFRESH_EVERY, BlockDesign, SparseHybridVector, symmetrize
+from .linalg import INVERSE_REFRESH_EVERY, BlockDesign, symmetrize
 from .model import ContextRound, HybridParams, mean_rewards
 
 LINUCB = "linucb"
@@ -166,10 +166,9 @@ class SharedLinearUCB:
     def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        u = SparseHybridVector(arm, x, z)
-        self.design.block_update(u)
-        self.u_shared += reward * u.x
-        self.u_arms[arm] += reward * u.z
+        self.design.block_update(arm, x, z)
+        self.u_shared += reward * np.asarray(x, dtype=float)
+        self.u_arms[arm] += reward * np.asarray(z, dtype=float)
         self._estimates = None
 
 

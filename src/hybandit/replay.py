@@ -151,9 +151,6 @@ class ReplayContextStream:
         xs = np.einsum("a,kb->kab", u, arms).reshape(arms.shape[0], -1)
         return ContextRound(xs, arms)
 
-    def __iter__(self):
-        return (self.round(t) for t in range(self.T))
-
 
 def _norm_scales(records) -> tuple[float, float]:
     user_max = max(float(np.linalg.norm(r.user)) for r in records)

@@ -106,6 +106,17 @@ class TestRun:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+    def test_horizon_below_two_exits_2(self, tmp_path, capsys):
+        rc = run_cli(
+            "run", "--setting", "custom", "--d1", "3", "--d2", "2", "--K", "3",
+            "--T", "1", "--algos", "linucb", "--n-envs", "1", "--n-trials", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert "got 1" in capsys.readouterr().err
+        assert not (tmp_path / "regret.csv").exists()
+
+
 class TestDiagnose:
     def test_produces_report_and_csv(self, tmp_path, capsys):
         rc = run_cli(
@@ -139,6 +150,19 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "confidence violations" not in out
         assert (tmp_path / "diagnostics.csv").exists()
+
+
+    def test_horizon_below_two_exits_2(self, tmp_path, capsys):
+        rc = run_cli(
+            "diagnose", "--setting", "custom", "--d1", "3", "--d2", "3", "--K", "3",
+            "--T", "1", "--algos", "hylinucb", "--n-envs", "1", "--n-trials", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "got 1" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "diagnostics.csv").exists()
 
 
 class TestReplay:
@@ -184,6 +208,17 @@ class TestReplay:
         assert "101" in err and "100" in err
         assert not (tmp_path / "replay_regret.csv").exists()
 
+    def test_horizon_below_two_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(5, 400, n_arms=4))
+        rc = run_cli(
+            "replay", "--log", str(log), "--train-n", "300", "--T", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert "got 1" in capsys.readouterr().err
+        assert not (tmp_path / "replay_regret.csv").exists()
+
     def test_train_n_too_large_exits_1(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_replay_log(log, synth_records(6, 50, n_arms=3))
@@ -223,6 +258,27 @@ class TestSummarize:
         assert lines[0].startswith("algo,")
         oracle_row = [l for l in lines if l.startswith("oracle")][0]
         assert float(oracle_row.split(",")[5]) == 0.0
+
+    def test_shape_fields_left_empty(self, tmp_path):
+        rc = run_cli(
+            "run", "--setting", "custom", "--d1", "3", "--d2", "2", "--K", "3",
+            "--T", "30", "--algos", "linucb,oracle", "--n-envs", "1", "--n-trials", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 0
+        rc = run_cli(
+            "summarize", "--regret", str(tmp_path / "regret.csv"),
+            "--out-dir", str(tmp_path / "sum"),
+        )
+        assert rc == 0
+        lines = (tmp_path / "sum" / "summary.csv").read_text().splitlines()
+        assert lines[0] == "algo,K,d1,d2,T,mean_final_regret,std_final_regret,n_trials"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["linucb", "oracle"]
+        for row in rows:
+            assert len(row) == 8
+            assert row[1:4] == ["", "", ""]
+            assert row[4] == "30" and row[7] == "2"
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("summarize", "--regret", str(tmp_path / "no.csv")) == 2

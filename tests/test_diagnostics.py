@@ -18,7 +18,7 @@ from hybandit.diagnostics import (
 )
 from hybandit.envs import SyntheticEnvConfig, sample_unit_ball
 from hybandit.harness import run_trial, synthetic_environment
-from hybandit.linalg import BlockDesign, SparseHybridVector
+from hybandit.linalg import BlockDesign
 from hybandit.model import flatten
 from hybandit.policies import (
     DISLINUCB,
@@ -162,7 +162,7 @@ class TestSandwich:
         bd = BlockDesign(2, 2, 1, 1e-3)
         v = np.array([0.9, 0.1])
         for _ in range(20):
-            bd.block_update(SparseHybridVector(0, v, v))
+            bd.block_update(0, v, v)
         report = check_sandwich(bd)
         assert not report.ok
         assert report.spectrum_min < 0.5
@@ -171,11 +171,9 @@ class TestSandwich:
         bd = BlockDesign(3, 3, 3, 1.0)
         for _ in range(600):
             bd.block_update(
-                SparseHybridVector(
-                    int(rng.integers(3)),
-                    sample_unit_ball(rng, 3),
-                    sample_unit_ball(rng, 3),
-                )
+                int(rng.integers(3)),
+                sample_unit_ball(rng, 3),
+                sample_unit_ball(rng, 3),
             )
         assert check_sandwich(bd).ok
 

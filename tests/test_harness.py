@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,7 @@ from hybandit.harness import (
     aggregate_traces,
     experiment_spec,
     run_experiment,
+    run_traces,
     run_trial,
     synthetic_environment,
     write_diagnostics_csv,
@@ -97,6 +99,65 @@ class TestRunTrial:
             ref.update(arm, x, z, float(means[arm] + noise[t]))
             total += float(np.max(means) - means[arm])
             assert trace.cum_regret[t] == pytest.approx(total, abs=1e-9)
+
+
+class CountingStream:
+    """Context stream wrapper that counts ``round`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    @property
+    def T(self):
+        return self.inner.T
+
+    def round(self, t):
+        self.calls += 1
+        return self.inner.round(t)
+
+
+LOCKSTEP_RUNS = [
+    ("hylinucb", 0),
+    ("linucb", 1),
+    ("oracle", 0),
+    ("dislinucb", 2),
+    ("hylinucb", 1),
+]
+
+
+class TestRunTraces:
+    def test_lockstep_equals_one_run_at_a_time(self):
+        env = desk_env(seed=5, d1=3, d2=2, n_arms=4, T=120)
+        together = run_traces(env, LOCKSTEP_RUNS, diagnostics_every=40)
+        alone = [run_traces(env, [run], diagnostics_every=40)[0] for run in LOCKSTEP_RUNS]
+        assert len(together) == len(alone) == len(LOCKSTEP_RUNS)
+        for (algo, trial), (tr_a, diag_a), (tr_b, diag_b) in zip(LOCKSTEP_RUNS, together, alone):
+            assert (tr_a.algo, tr_a.trial_id) == (tr_b.algo, tr_b.trial_id) == (algo, trial)
+            assert np.array_equal(tr_a.cum_regret, tr_b.cum_regret)
+            assert np.array_equal(tr_a.chosen, tr_b.chosen)
+            assert len(diag_a.samples) == len(diag_b.samples) == 3
+            for s_a, s_b in zip(diag_a.samples, diag_b.samples):
+                for f in dataclasses.fields(s_a):
+                    a, b = getattr(s_a, f.name), getattr(s_b, f.name)
+                    assert np.array_equal(a, b, equal_nan=True), f.name
+
+    def test_run_trial_is_a_single_run(self):
+        env = desk_env(T=80)
+        trace, diag = run_trial("linucb", env, 2)
+        (other, other_diag), = run_traces(env, [("linucb", 2)])
+        assert diag is None and other_diag is None
+        assert np.array_equal(trace.cum_regret, other.cum_regret)
+        assert np.array_equal(trace.chosen, other.chosen)
+
+    def test_contexts_drawn_once_per_round(self):
+        env = desk_env(T=50)
+        counting = CountingStream(env.contexts)
+        env = dataclasses.replace(env, contexts=counting)
+        run_traces(env, LOCKSTEP_RUNS)
+        assert counting.calls == 50
+        run_traces(env, LOCKSTEP_RUNS[:1])
+        assert counting.calls == 100
 
 
 class TestDiagnosticsRecompute:
@@ -215,6 +276,32 @@ class TestRunExperiment:
             assert (a.algo, a.env_id, a.trial_id) == (b.algo, b.env_id, b.trial_id)
             assert np.array_equal(a.cum_regret, b.cum_regret)
             assert np.array_equal(a.chosen, b.chosen)
+
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_parallel_equals_serial_one_env(self, threads):
+        # one environment: its 4 runs are dealt into `threads` groups (3 gives
+        # uneven groups of 2, 1 and 1 runs)
+        base = dict(
+            algos=("linucb", "hylinucb"), d1=3, d2=2, n_arms=3, T=60,
+            n_envs=1, n_trials=2, diagnostics_every=20,
+        )
+        serial = run_experiment(experiment_spec("custom", threads=1, **base))
+        parallel = run_experiment(experiment_spec("custom", threads=threads, **base))
+        assert len(serial.traces) == len(parallel.traces) == 4
+        for a, b in zip(serial.traces, parallel.traces):
+            assert (a.algo, a.env_id, a.trial_id) == (b.algo, b.env_id, b.trial_id)
+            assert np.array_equal(a.cum_regret, b.cum_regret)
+            assert np.array_equal(a.chosen, b.chosen)
+        assert [(d.algo, d.trial_id) for d in serial.diagnostics] == [
+            (d.algo, d.trial_id) for d in parallel.diagnostics
+        ]
+        for d_a, d_b in zip(serial.diagnostics, parallel.diagnostics):
+            for s_a, s_b in zip(d_a.samples, d_b.samples):
+                assert s_a.conf_residual == s_b.conf_residual or (
+                    math.isnan(s_a.conf_residual) and math.isnan(s_b.conf_residual)
+                )
+                assert np.array_equal(s_a.sigma_max_B, s_b.sigma_max_B)
 
 
 class TestCsvWriters:

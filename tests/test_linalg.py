@@ -21,7 +21,7 @@ def random_design(rng, d1, d2, n_arms, ridge, n_updates, scale=1.0):
         x *= scale * rng.random() / max(1.0, np.linalg.norm(x))
         z = rng.standard_normal(d2)
         z *= scale * rng.random() / max(1.0, np.linalg.norm(z))
-        bd.block_update(SparseHybridVector(int(rng.integers(n_arms)), x, z))
+        bd.block_update(int(rng.integers(n_arms)), x, z)
     return bd
 
 
@@ -106,7 +106,7 @@ class TestBlockDesign:
         lam = 1.5
         bd = BlockDesign(3, 2, 4, lam)
         x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
-        bd.block_update(SparseHybridVector(1, x, z))
+        bd.block_update(1, x, z)
         assert np.allclose(bd.V, lam * np.eye(3) + np.outer(x, x))
         assert np.allclose(bd.W[1], lam * np.eye(2) + np.outer(z, z))
         assert np.allclose(bd.B[1], np.outer(x, z))
@@ -116,7 +116,7 @@ class TestBlockDesign:
     def test_zero_z_touches_only_v_and_counters(self, rng):
         bd = BlockDesign(3, 2, 2, 1.0)
         x = rng.standard_normal(3) / 2
-        bd.block_update(SparseHybridVector(0, x, np.zeros(2)))
+        bd.block_update(0, x, np.zeros(2))
         assert np.allclose(bd.V, np.eye(3) + np.outer(x, x))
         assert np.allclose(bd.W[0], np.eye(2))
         assert not np.any(bd.B)
@@ -130,7 +130,7 @@ class TestBlockDesign:
             i = int(rng.integers(n_arms))
             x, z = rng.standard_normal(d1) / 2, rng.standard_normal(d2) / 2
             u = SparseHybridVector(i, x, z)
-            bd.block_update(u)
+            bd.block_update(u.arm, u.x, u.z)
             v = u.dense(n_arms)
             dense += np.outer(v, v)
         assert np.max(np.abs(bd.assemble_dense() - dense)) < 1e-10
@@ -209,12 +209,11 @@ class TestBlockDesign:
         u = SparseHybridVector(1, rng.standard_normal(3), rng.standard_normal(2))
         prev = quad_form(bd, u)
         for _ in range(50):
-            w = SparseHybridVector(
+            bd.block_update(
                 int(rng.integers(3)),
                 rng.standard_normal(3) / 2,
                 rng.standard_normal(2) / 2,
             )
-            bd.block_update(w)
             cur = quad_form(bd, u)
             assert cur <= prev + 1e-12
             prev = cur
@@ -233,9 +232,22 @@ class TestBlockDesign:
     def test_dimension_mismatch(self, rng):
         bd = BlockDesign(3, 2, 2, 1.0)
         with pytest.raises(ValueError):
-            bd.block_update(SparseHybridVector(0, np.ones(4), np.ones(2)))
+            bd.block_update(0, np.ones(4), np.ones(2))
         with pytest.raises(ValueError):
-            bd.block_update(SparseHybridVector(5, np.ones(3), np.ones(2)))
+            bd.block_update(5, np.ones(3), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "arm, x, z",
+        [(4, np.ones(3), np.ones(2)), (-1, np.ones(3), np.ones(2)),
+         (1, np.ones(2), np.ones(2)), (1, np.ones(3), np.ones((1, 2)))],
+    )
+    def test_rejected_update_leaves_state(self, rng, arm, x, z):
+        bd = random_design(rng, 3, 2, 4, 1.0, 20)
+        before = {k: np.copy(v) for k, v in vars(bd).items()}
+        with pytest.raises(ValueError):
+            bd.block_update(arm, x / 4, z / 4)
+        for k, v in vars(bd).items():
+            assert np.array_equal(before[k], v), k
 
 
 def schur_inverse_reference(bd):
@@ -262,7 +274,7 @@ class TestBlockDesignNumerics:
             x *= rng.random() / np.linalg.norm(x)
             z = rng.standard_normal(d2)
             z *= rng.random() / np.linalg.norm(z)
-            bd.block_update(SparseHybridVector(int(rng.integers(n_arms)), x, z))
+            bd.block_update(int(rng.integers(n_arms)), x, z)
             if step % 1000 == 0:
                 ref = schur_inverse_reference(bd)
                 rel = np.max(np.abs(bd.F - ref)) / np.max(np.abs(ref))
@@ -300,9 +312,9 @@ class TestBlockDesignNumerics:
         x = rng.standard_normal(3) / 2
         x[0] = value
         with pytest.raises(ValueError, match="finite"):
-            bd.block_update(SparseHybridVector(1, x, rng.standard_normal(2) / 2))
+            bd.block_update(1, x, rng.standard_normal(2) / 2)
         with pytest.raises(ValueError, match="finite"):
-            bd.block_update(SparseHybridVector(1, np.zeros(3), np.array([0.1, value])))
+            bd.block_update(1, np.zeros(3), np.array([0.1, value]))
         for k, v in vars(bd).items():
             assert np.array_equal(before[k], v), k
 
@@ -397,7 +409,7 @@ class TestSandwichSpectrum:
         # z = 0 keeps every B_i zero while V and W still grow
         bd = BlockDesign(3, 2, 2, 1.0)
         for _ in range(10):
-            bd.block_update(SparseHybridVector(0, rng.standard_normal(3) / 2, np.zeros(2)))
+            bd.block_update(0, rng.standard_normal(3) / 2, np.zeros(2))
         assert bd.sandwich_spectrum() == (1.0, 1.0)
 
     def test_symmetric_about_one_and_matches_dense(self, rng):
@@ -421,7 +433,7 @@ class TestSandwichSpectrum:
         bd = BlockDesign(3, 2, 3, 1.0)
         x = rng.standard_normal(3) / 2
         z = rng.standard_normal(2) / 2
-        bd.block_update(SparseHybridVector(1, x, z))
+        bd.block_update(1, x, z)
         # extreme eigenvalues are 1 -/+ the largest singular value of the
         # normalized cross operator
         w1, q1 = np.linalg.eigh(bd.V)

@@ -153,3 +153,24 @@ class TestInstantaneousRegret:
         ctx = random_round(rng, 2, 2, 2)
         with pytest.raises(ValueError):
             instantaneous_regret(p, ctx, 2)
+
+
+class TestContextRoundReadOnly:
+    def test_writes_raise(self, rng):
+        ctx = random_round(rng, 3, 2, 4)
+        with pytest.raises(ValueError):
+            ctx.xs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ctx.zs[1] = 0.0
+        x, z = ctx.arm(2)
+        with pytest.raises(ValueError):
+            x += 1.0
+        with pytest.raises(ValueError):
+            z[0] = 1.0
+
+    def test_caller_arrays_stay_writeable(self, rng):
+        xs, zs = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        ctx = ContextRound(xs, zs)
+        assert xs.flags.writeable and zs.flags.writeable
+        xs[0, 0] = 7.0
+        assert ctx.xs[0, 0] == 7.0  # a view, not a copy

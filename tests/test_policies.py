@@ -332,3 +332,20 @@ def test_determinism_bit_identical():
     arms2, phi2 = run()
     assert arms1 == arms2
     assert np.array_equal(phi1, phi2)
+
+
+class TestSharedRoundUnchanged:
+    @pytest.mark.parametrize("algo", [LINUCB, HYLINUCB, DISLINUCB, "oracle"])
+    def test_select_and_update_leave_round_values(self, rng, algo):
+        params = random_params(rng, 3, 2, 4)
+        if algo == "oracle":
+            pol = OraclePolicy(params)
+        else:
+            pol = make_policy(PolicyConfig.create(algo, d1=3, d2=2, n_arms=4, S=1.0, T=500))
+        for _ in range(30):
+            ctx = random_round(rng, 3, 2, 4)
+            xs, zs = ctx.xs.copy(), ctx.zs.copy()
+            arm = pol.select_arm(ctx)
+            x, z = ctx.arm(arm)
+            pol.update(arm, x, z, float(rng.standard_normal()))
+            assert np.array_equal(ctx.xs, xs) and np.array_equal(ctx.zs, zs)
