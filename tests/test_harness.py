@@ -142,14 +142,6 @@ class TestRunTraces:
                     a, b = getattr(s_a, f.name), getattr(s_b, f.name)
                     assert np.array_equal(a, b, equal_nan=True), f.name
 
-    def test_run_trial_is_a_single_run(self):
-        env = desk_env(T=80)
-        trace, diag = run_trial("linucb", env, 2)
-        (other, other_diag), = run_traces(env, [("linucb", 2)])
-        assert diag is None and other_diag is None
-        assert np.array_equal(trace.cum_regret, other.cum_regret)
-        assert np.array_equal(trace.chosen, other.chosen)
-
     def test_contexts_drawn_once_per_round(self):
         env = desk_env(T=50)
         counting = CountingStream(env.contexts)
@@ -277,7 +269,6 @@ class TestRunExperiment:
             assert np.array_equal(a.cum_regret, b.cum_regret)
             assert np.array_equal(a.chosen, b.chosen)
 
-
     @pytest.mark.parametrize("threads", [2, 3])
     def test_parallel_equals_serial_one_env(self, threads):
         # one environment: its 4 runs are dealt into `threads` groups (3 gives
@@ -298,9 +289,7 @@ class TestRunExperiment:
         ]
         for d_a, d_b in zip(serial.diagnostics, parallel.diagnostics):
             for s_a, s_b in zip(d_a.samples, d_b.samples):
-                assert s_a.conf_residual == s_b.conf_residual or (
-                    math.isnan(s_a.conf_residual) and math.isnan(s_b.conf_residual)
-                )
+                assert s_a.conf_residual == s_b.conf_residual
                 assert np.array_equal(s_a.sigma_max_B, s_b.sigma_max_B)
 
 
