@@ -230,7 +230,7 @@ def _run_group_job(args) -> list[tuple[RegretTrace, DiagnosticsTrace | None]]:
 
 
 def _run_synthetic_job(args) -> tuple[RegretTrace, DiagnosticsTrace | None]:
-    """One-run job; only the benchmark's span tracer (``perfbench/spans.py``) uses it."""
+    """Unused one-run job, kept only because ``perfbench/spans.py`` looks it up at install."""
     cfg, env_id, algo, trial, delta, diagnostics_every = args
     return _run_group_job((cfg, env_id, [(algo, trial)], delta, diagnostics_every))[0]
 
@@ -314,9 +314,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (environment, algorithm, trial) combination of a spec.
 
     Each environment's runs are dealt round-robin into
-    ``min(len(runs), ceil(threads / n_envs))`` groups, and each group is one
-    job running one :func:`run_traces`: with one thread every environment is
-    a single job, and a single environment still fills a pool of workers.
+    ``min(len(runs), threads)`` groups, each one job running one
+    :func:`run_traces`: the jobs stay nearly equal whatever ``n_envs`` is,
+    and each environment's contexts are drawn at most ``threads`` times.
     Setting 3 sweeps the K grid, rerunning the spec once per arm count; the
     summary then has one row per (algorithm, K).
     """
@@ -334,7 +334,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         return ExperimentResult(spec, traces, diagnostics, curves, summary)
 
     runs = [(algo, trial) for algo in spec.algos for trial in range(spec.n_trials)]
-    groups = min(len(runs), math.ceil(spec.threads / spec.n_envs))
+    groups = min(len(runs), spec.threads)
     jobs = []
     for env_idx in range(spec.n_envs):
         cfg = SyntheticEnvConfig(
