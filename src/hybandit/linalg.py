@@ -242,20 +242,65 @@ class BlockDesign:
         y_arms = np.einsum("kab,kb->ka", self.W_inv, b_arms) - np.einsum("kab,a->kb", self.C, y0)
         return y0, y_arms
 
-    def quad_forms_per_arm(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Quadratic forms ``u_i^T M^{-1} u_i`` for all arms at once.
-
-        Row i of ``xs``/``zs`` is scored in arm i's own slot.
-        """
+    def _arm_terms(
+        self, xs: np.ndarray, zs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-arm ``w_i = x_i - C_i z_i``, ``g_i = W_i^{-1} z_i`` and ``u_i^T M^{-1} u_i``."""
         xs = np.asarray(xs, dtype=float)
         zs = np.asarray(zs, dtype=float)
         if xs.shape != (self.n_arms, self.d1) or zs.shape != (self.n_arms, self.d2):
             raise ValueError("expected per-arm feature stacks of shapes (K, d1) and (K, d2)")
         w = xs - np.einsum("kab,kb->ka", self.C, zs)
-        vals = np.einsum("ka,ka->k", w @ self.F, w) + np.einsum(
-            "ka,ka->k", np.einsum("kab,kb->ka", self.W_inv, zs), zs
-        )
-        return np.maximum(vals, 0.0)
+        g = np.einsum("kab,kb->ka", self.W_inv, zs)
+        quads = np.einsum("ka,ka->k", w @ self.F, w) + np.einsum("ka,ka->k", g, zs)
+        return w, g, np.maximum(quads, 0.0)
+
+    def quad_forms_per_arm(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Quadratic forms ``u_i^T M^{-1} u_i`` for all arms at once.
+
+        Row i of ``xs``/``zs`` is scored in arm i's own slot.
+        """
+        return self._arm_terms(xs, zs)[2]
+
+    def means_and_quad_forms(
+        self,
+        xs: np.ndarray,
+        zs: np.ndarray,
+        u_shared: np.ndarray,
+        u_arms: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every arm's estimated mean ``u_i . phi_hat`` and quad form ``u_i^T M^{-1} u_i``.
+
+        ``phi_hat = M^{-1} b`` is the ridge estimate for the right-hand side
+        ``b = (u_shared, u_arms)``; row i of ``xs``/``zs`` is scored in arm
+        i's own slot, as in :meth:`quad_forms_per_arm`.  The estimate is
+        never formed.  By :meth:`solve_blocks`, its blocks are
+
+            theta_hat = F (u_shared - sum_j C_j u_j),
+            beta_hat_i = W_i^{-1} u_i - C_i^T theta_hat.
+
+        With w_i = x_i - C_i z_i and g_i = W_i^{-1} z_i, and since every
+        W_i^{-1} is exactly symmetric (the rank-one updates keep it so and
+        :meth:`refresh` symmetrizes it),
+
+            mean_i = x_i . theta_hat + z_i . beta_hat_i
+                   = (x_i - C_i z_i) . theta_hat + (W_i^{-1} z_i) . u_i
+                   = w_i . theta_hat + g_i . u_i,
+            quad_i = w_i^T F w_i + g_i . z_i.
+
+        So one pass costs three K-sized contractions (``C z``, ``W^{-1} z``
+        and ``sum_j C_j u_j``) instead of the six of a block solve followed
+        by :meth:`quad_forms_per_arm`.  The mean differs from the one built
+        on :meth:`solve_blocks` in the last bits only.
+        """
+        u_shared = np.asarray(u_shared, dtype=float)
+        u_arms = np.asarray(u_arms, dtype=float)
+        if u_shared.shape != (self.d1,) or u_arms.shape != (self.n_arms, self.d2):
+            raise ValueError("right-hand side shape does not match design blocks")
+        w, g, quads = self._arm_terms(xs, zs)
+        theta = self.F @ (u_shared - np.einsum("kab,kb->a", self.C, u_arms))
+        means = w @ theta + np.einsum("ka,ka->k", g, u_arms)
+        return means, quads
 
     def assemble_dense(self) -> np.ndarray:
         """Materialize the full (d1 + d2*K)^2 matrix (dense test oracles only)."""

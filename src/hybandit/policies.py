@@ -129,9 +129,12 @@ class PolicyConfig:
 class SharedLinearUCB:
     """Ridge-UCB over the sparse embedding, maintained in block form.
 
-    Serves both LinUCB and HyLinUCB (they differ only in config).  The
-    estimate solve and the per-arm confidence widths go through the block
-    design, so every round costs polynomially in (d1, d2) and linearly in K.
+    Serves both LinUCB and HyLinUCB (they differ only in config).  A round
+    scores every arm in one pass over the block design
+    (:meth:`BlockDesign.means_and_quad_forms`), which reads each arm's mean
+    and confidence width off the same Schur intermediates without forming
+    the estimate, so it costs polynomially in (d1, d2) and linearly in K.
+    :meth:`estimates` solves for the estimate itself, for diagnostics.
     """
 
     def __init__(self, config: PolicyConfig):
@@ -155,10 +158,10 @@ class SharedLinearUCB:
         return np.concatenate([theta, betas.ravel()])
 
     def scores(self, ctx: ContextRound) -> np.ndarray:
-        theta, betas = self.estimates()
-        means = ctx.xs @ theta + np.einsum("kd,kd->k", ctx.zs, betas)
-        widths = np.sqrt(self.design.quad_forms_per_arm(ctx.xs, ctx.zs))
-        return means + self.config.gamma * widths
+        means, quads = self.design.means_and_quad_forms(
+            ctx.xs, ctx.zs, self.u_shared, self.u_arms
+        )
+        return means + self.config.gamma * np.sqrt(quads)
 
     def select_arm(self, ctx: ContextRound) -> int:
         return int(np.argmax(self.scores(ctx)))
@@ -194,7 +197,7 @@ class DisjointLinearUCB:
     def scores(self, ctx: ContextRound) -> np.ndarray:
         xbar = np.hstack([ctx.xs, ctx.zs])
         means = np.einsum("kd,kd->k", xbar, self.phi)
-        quads = np.einsum("ka,kab,kb->k", xbar, self.M_inv, xbar)
+        quads = np.einsum("kd,kd->k", (self.M_inv @ xbar[..., None])[..., 0], xbar)
         return means + self.config.gamma * np.sqrt(np.maximum(quads, 0.0))
 
     def select_arm(self, ctx: ContextRound) -> int:

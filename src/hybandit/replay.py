@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import LearnedModel, hybrid_least_squares
+from .envs import FIT_CHUNK, LearnedModel, hybrid_least_squares
 from .model import ContextRound
 
 
@@ -152,9 +152,20 @@ class ReplayContextStream:
         return ContextRound(xs, arms)
 
 
-def _norm_scales(records) -> tuple[float, float]:
-    user_max = max(float(np.linalg.norm(r.user)) for r in records)
-    arm_max = max(float(np.max(np.linalg.norm(r.arms, axis=1))) for r in records)
+def _norm_scales(records: list[ReplayRecord]) -> tuple[float, float]:
+    """Largest user and arm feature norms (at least 1), over ``FIT_CHUNK``-record stacks.
+
+    The user norms are row-wise ``(1, du) @ (du, 1)`` products, which numpy
+    computes with the same ``dot`` as the 1-D ``np.linalg.norm``, so the
+    scales match a per-record loop bit for bit.
+    """
+    user_max = arm_max = 0.0
+    for start in range(0, len(records), FIT_CHUNK):
+        chunk = records[start : start + FIT_CHUNK]
+        users = np.stack([r.user for r in chunk])[:, None, :]
+        arms = np.stack([r.arms for r in chunk])
+        user_max = max(user_max, float(np.sqrt(np.max(users @ np.swapaxes(users, 1, 2)))))
+        arm_max = max(arm_max, float(np.max(np.linalg.norm(arms, axis=2))))
     return max(1.0, user_max), max(1.0, arm_max)
 
 

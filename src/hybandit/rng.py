@@ -39,23 +39,6 @@ def splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-# Fixed-entropy seed used only to construct Philox instances cheaply (no OS
-# entropy syscall); the key is overwritten before any draw.
-_SEED_SEQ = np.random.SeedSequence(entropy=0)
-
-
-def _philox(key0: int, key1: int) -> np.random.Philox:
-    bg = np.random.Philox(seed=_SEED_SEQ)
-    state = bg.state
-    state["state"]["key"][:] = (key0, key1)
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bg.state = state
-    return bg
-
-
 def stream(
     env_seed: int, trial: int = 0, round_index: int = 0, tag: str = "misc"
 ) -> np.random.Generator:
@@ -67,7 +50,8 @@ def stream(
     if not 0 <= round_index < MAX_ROUNDS:
         raise ValueError(f"round index {round_index} outside [0, {MAX_ROUNDS})")
     packed = (STREAM_TAGS[tag] << 56) | (trial << 40) | round_index
-    return np.random.Generator(_philox(env_seed & _MASK64, splitmix64(packed)))
+    key = np.array([env_seed & _MASK64, splitmix64(packed)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(base_seed: int, index: int) -> int:

@@ -229,6 +229,21 @@ class TestBlockDesign:
                 float(u.dense(4) @ solve_dense_view(bd, u)), rel=1e-12
             )
 
+    def test_means_and_quad_forms_match_block_solve(self, rng):
+        bd = random_design(rng, 3, 2, 4, 1.0, 120)
+        xs = rng.standard_normal((4, 3))
+        zs = rng.standard_normal((4, 2))
+        u_shared = rng.standard_normal(3)
+        u_arms = rng.standard_normal((4, 2))
+        means, quads = bd.means_and_quad_forms(xs, zs, u_shared, u_arms)
+        theta, betas = bd.solve_blocks(u_shared, u_arms)
+        for i in range(4):
+            expected = float(xs[i] @ theta + zs[i] @ betas[i])
+            assert means[i] == pytest.approx(expected, rel=1e-12, abs=1e-14), i
+        assert np.array_equal(quads, bd.quad_forms_per_arm(xs, zs))
+        with pytest.raises(ValueError):
+            bd.means_and_quad_forms(xs, zs, u_shared[:2], u_arms)
+
     def test_dimension_mismatch(self, rng):
         bd = BlockDesign(3, 2, 2, 1.0)
         with pytest.raises(ValueError):

@@ -115,22 +115,32 @@ class TestUcbScore:
             i = int(rng.integers(4))
             pol.update(i, ctx.xs[i], ctx.zs[i], float(rng.standard_normal()))
         theta, betas = pol.estimates()
-        x, z = ctx.xs[2], ctx.zs[2]
-        assert score_of(pol, 2, x, z) == pytest.approx(
-            float(theta @ x + betas[2] @ z), rel=1e-10
-        )
+        got = pol.scores(ctx)
+        for i in range(4):
+            expected = float(theta @ ctx.xs[i] + betas[i] @ ctx.zs[i])
+            assert got[i] == pytest.approx(expected, rel=1e-10), i
 
-    def test_matches_dense_oracle(self, rng):
-        cfg = PolicyConfig.create(HYLINUCB, d1=3, d2=2, n_arms=4, S=1.0, T=500)
+    @pytest.mark.parametrize(
+        "d1, d2, n_arms, refresh_every",
+        [
+            (3, 2, 4, None),  # d2 * K > d1
+            (12, 2, 3, None),  # d2 * K < d1
+            (3, 2, 4, 25),  # 60 updates cross two design refreshes
+        ],
+    )
+    def test_matches_dense_oracle(self, rng, monkeypatch, d1, d2, n_arms, refresh_every):
+        if refresh_every is not None:
+            monkeypatch.setattr("hybandit.linalg.INVERSE_REFRESH_EVERY", refresh_every)
+        cfg = PolicyConfig.create(HYLINUCB, d1=d1, d2=d2, n_arms=n_arms, S=1.0, T=500)
         pol = SharedLinearUCB(cfg)
-        ref = DenseSharedUCB(3, 2, 4, cfg.lam, cfg.gamma)
+        ref = DenseSharedUCB(d1, d2, n_arms, cfg.lam, cfg.gamma)
         for _ in range(60):
-            i = int(rng.integers(4))
-            x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
+            i = int(rng.integers(n_arms))
+            x, z = rng.standard_normal(d1) / 2, rng.standard_normal(d2) / 2
             r = float(rng.standard_normal())
             pol.update(i, x, z, r)
             ref.update(i, x, z, r)
-        ctx = random_round(rng, 3, 2, 4)
+        ctx = random_round(rng, d1, d2, n_arms)
         assert np.max(np.abs(pol.scores(ctx) - ref.scores(ctx))) < 1e-8
 
 
@@ -268,6 +278,24 @@ class TestDisjoint:
             if rows[i]:
                 ref = dense_ridge(np.array(rows[i]), np.array(ys[i]), pol.config.lam)
                 assert np.max(np.abs(pol.phi[i] - ref)) < 1e-9
+
+    @pytest.mark.parametrize("refresh_every", [None, 7])
+    def test_scores_match_per_arm_loop(self, rng, monkeypatch, refresh_every):
+        if refresh_every is not None:
+            # 120 updates over 3 arms refresh every arm's inverse several times
+            monkeypatch.setattr("hybandit.policies.INVERSE_REFRESH_EVERY", refresh_every)
+        pol = self.make()
+        for _ in range(120):
+            i = int(rng.integers(3))
+            pol.update(i, rng.standard_normal(2) / 2, rng.standard_normal(2) / 2, float(rng.standard_normal()))
+        ctx = random_round(rng, 2, 2, 3)
+        got = pol.scores(ctx)
+        for i in range(3):
+            xbar = np.concatenate([ctx.xs[i], ctx.zs[i]])
+            expected = float(xbar @ pol.phi[i]) + pol.config.gamma * math.sqrt(
+                float(xbar @ pol.M_inv[i] @ xbar)
+            )
+            assert got[i] == pytest.approx(expected, rel=1e-12), i
 
     def test_score_fresh_state(self, rng):
         pol = self.make()

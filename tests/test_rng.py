@@ -37,3 +37,19 @@ def test_bounds_checked():
 def test_derive_seed_spreads():
     seeds = {derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+def test_high_bit_seed_stream_pinned():
+    # env_seed >= 2**63 must key Philox exactly like the low 64 bits of the seed
+    got = stream(2**63 + 99, 3, 7, "context").standard_normal(8)
+    expected = [
+        -0.25619471740835403,
+        -0.7329882876296765,
+        0.05650060271394013,
+        -0.13206934633450174,
+        0.29003059630983724,
+        0.1110384843813724,
+        0.5270573306265914,
+        0.6424109134457336,
+    ]
+    assert got.tolist() == expected
