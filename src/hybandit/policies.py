@@ -144,13 +144,10 @@ class SharedLinearUCB:
         self.design = BlockDesign(config.d1, config.d2, config.n_arms, config.lam)
         self.u_shared = np.zeros(config.d1)
         self.u_arms = np.zeros((config.n_arms, config.d2))
-        self._estimates: tuple[np.ndarray, np.ndarray] | None = None
 
     def estimates(self) -> tuple[np.ndarray, np.ndarray]:
         """Current ridge estimates (theta part, per-arm beta stack)."""
-        if self._estimates is None:
-            self._estimates = self.design.solve_blocks(self.u_shared, self.u_arms)
-        return self._estimates
+        return self.design.solve_blocks(self.u_shared, self.u_arms)
 
     def phi_hat(self) -> np.ndarray:
         """Estimate as one flat (d1 + d2*K)-vector."""
@@ -172,7 +169,6 @@ class SharedLinearUCB:
         self.design.block_update(arm, x, z)
         self.u_shared += reward * np.asarray(x, dtype=float)
         self.u_arms[arm] += reward * np.asarray(z, dtype=float)
-        self._estimates = None
 
 
 class DisjointLinearUCB:
