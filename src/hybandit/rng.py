@@ -15,6 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy loads numpy.random on first use; importing it here loads it once in
+# the parent process, before any pool worker forks, instead of in every worker.
+from numpy.random import Generator, Philox
+
 _MASK64 = (1 << 64) - 1
 
 # Registry of stream purposes. Values must stay stable: they are part of the
@@ -41,7 +45,7 @@ def splitmix64(x: int) -> int:
 
 def stream(
     env_seed: int, trial: int = 0, round_index: int = 0, tag: str = "misc"
-) -> np.random.Generator:
+) -> Generator:
     """Return the generator for one (seed, trial, round, purpose) stream."""
     if tag not in STREAM_TAGS:
         raise ValueError(f"unknown stream tag {tag!r}; known: {sorted(STREAM_TAGS)}")
@@ -51,7 +55,7 @@ def stream(
         raise ValueError(f"round index {round_index} outside [0, {MAX_ROUNDS})")
     packed = (STREAM_TAGS[tag] << 56) | (trial << 40) | round_index
     key = np.array([env_seed & _MASK64, splitmix64(packed)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def derive_seed(base_seed: int, index: int) -> int:
