@@ -287,7 +287,8 @@ class TestDisjoint:
         pol = self.make()
         for _ in range(120):
             i = int(rng.integers(3))
-            pol.update(i, rng.standard_normal(2) / 2, rng.standard_normal(2) / 2, float(rng.standard_normal()))
+            x, z = rng.standard_normal(2) / 2, rng.standard_normal(2) / 2
+            pol.update(i, x, z, float(rng.standard_normal()))
         ctx = random_round(rng, 2, 2, 3)
         got = pol.scores(ctx)
         for i in range(3):

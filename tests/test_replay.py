@@ -173,20 +173,23 @@ class TestSemiSyntheticEnvironment:
 
     @pytest.mark.parametrize("du, dv", [(3, 3), (4, 5), (7, 2)])
     def test_norm_scales_match_per_record_loop(self, monkeypatch, du, dv):
-        monkeypatch.setattr("hybandit.replay.FIT_CHUNK", 7)  # 50 records span 8 chunks
+        # Bit-for-bit: the scales divide every feature.  Norms above 1 keep the
+        # floor from hiding a difference; 40 logs of 30 records span 5 chunks each.
+        monkeypatch.setattr("hybandit.replay.FIT_CHUNK", 7)
         rng = np.random.default_rng(du * 10 + dv)
-        records = [
-            ReplayRecord(
-                rng.standard_normal(du) * 3.0 * rng.random(),
-                rng.standard_normal((4, dv)) * 2.0 * rng.random(),
-                0,
-                0,
-            )
-            for _ in range(50)
-        ]
-        user_max = max(float(np.linalg.norm(r.user)) for r in records)
-        arm_max = max(float(np.max(np.linalg.norm(r.arms, axis=1))) for r in records)
-        assert _norm_scales(records) == (max(1.0, user_max), max(1.0, arm_max))
+        for _ in range(40):
+            records = [
+                ReplayRecord(
+                    rng.standard_normal(du) * (3.0 + rng.random()),
+                    rng.standard_normal((4, dv)) * (3.0 + rng.random()),
+                    0,
+                    0,
+                )
+                for _ in range(30)
+            ]
+            user_max = max(float(np.linalg.norm(r.user)) for r in records)
+            arm_max = max(float(np.max(np.linalg.norm(r.arms, axis=1))) for r in records)
+            assert _norm_scales(records) == (max(1.0, user_max), max(1.0, arm_max))
 
     def test_context_norms_bounded(self):
         records = synth_records(10, 50, n_arms=3)

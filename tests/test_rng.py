@@ -40,7 +40,7 @@ def test_derive_seed_spreads():
 
 
 def test_high_bit_seed_stream_pinned():
-    # env_seed >= 2**63 must key Philox exactly like the low 64 bits of the seed
+    # A key word with its top bit set must keep giving the same stream.
     got = stream(2**63 + 99, 3, 7, "context").standard_normal(8)
     expected = [
         -0.25619471740835403,
