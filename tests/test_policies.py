@@ -122,11 +122,9 @@ class TestUcbScore:
 
     @pytest.mark.parametrize(
         "d1, d2, n_arms, refresh_every",
-        [
-            (3, 2, 4, None),  # d2 * K > d1
-            (12, 2, 3, None),  # d2 * K < d1
-            (3, 2, 4, 25),  # 60 updates cross two design refreshes
-        ],
+        [(3, 2, 4, None), (12, 2, 3, None), (3, 2, 4, 25)],
+        # the last case's 60 updates cross two design refreshes
+        ids=["d2K_above_d1", "d2K_below_d1", "across_refresh"],
     )
     def test_matches_dense_oracle(self, rng, monkeypatch, d1, d2, n_arms, refresh_every):
         if refresh_every is not None:
