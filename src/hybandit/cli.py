@@ -12,7 +12,8 @@ Option precedence is flags > config file > defaults.  Output files land in
 ``--out-dir`` (or ``$HYBANDIT_OUT_DIR``, or the working directory).  Runs are
 idempotent: identical configs and seeds give byte-identical output files.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage, config or replay-log error.
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or input error (a
+bad replay log or regret CSV).
 """
 
 from __future__ import annotations
@@ -249,19 +250,13 @@ def cmd_diagnose(args) -> int:
     for diag in result.diagnostics:
         by_algo.setdefault(diag.algo, []).append(diag)
     for algo in sorted(by_algo):
-        v_slopes, w_slopes, ratios, flags = [], [], [], 0
+        reports = [validate_assumption(diag, rho, spec.delta) for diag in by_algo[algo]]
+        v_slopes = [r.v_slope for r in reports if not math.isnan(r.v_slope)]
+        flags = sum(not (r.v_slope_ok and r.w_slope_ok and r.b_norm_ok) for r in reports)
         sandwich_lo, sandwich_hi = math.inf, -math.inf
         conf_viol = 0
         conf_total = 0
         for diag in by_algo[algo]:
-            report = validate_assumption(diag, rho, spec.delta)
-            if not math.isnan(report.v_slope):
-                v_slopes.append(report.v_slope)
-            w_slopes.append(report.w_slope)
-            ratios.append(report.b_ratio_max)
-            flags += int(
-                not (report.v_slope_ok and report.w_slope_ok and report.b_norm_ok)
-            )
             for s in diag.samples:
                 if not math.isnan(s.sandwich_min):
                     sandwich_lo = min(sandwich_lo, s.sandwich_min)
@@ -275,10 +270,10 @@ def cmd_diagnose(args) -> int:
                 f"  lambda_min(V) slope mean {np.mean(v_slopes):.6g} "
                 f"(expected about {rho:.6g})"
             )
-        print(f"  lambda_min(W) slope mean {np.mean(w_slopes):.6g}")
+        print(f"  lambda_min(W) slope mean {np.mean([r.w_slope for r in reports]):.6g}")
         print(
-            f"  max sigma_max(B)/sqrt(tau) {np.max(ratios):.6g} "
-            f"(bound {validate_assumption(by_algo[algo][0], rho, spec.delta).b_ratio_bound:.6g})"
+            f"  max sigma_max(B)/sqrt(tau) {np.max([r.b_ratio_max for r in reports]):.6g} "
+            f"(bound {reports[0].b_ratio_bound:.6g})"
         )
         if math.isfinite(sandwich_lo):
             print(f"  sandwich spectrum range [{sandwich_lo:.6g}, {sandwich_hi:.6g}]")
@@ -295,11 +290,15 @@ def cmd_replay(args) -> int:
     log_path = args.log or rcfg.get("log")
     if not log_path:
         raise ConfigError("replay needs --log or a 'replay.log' config entry")
-    train_n = int(args.train_n if args.train_n is not None else rcfg.get("train_n", 1000))
+    train_n = args.train_n if args.train_n is not None else rcfg.get("train_n", 1000)
+    if type(train_n) is not int or train_n < 1:
+        raise ConfigError(f"train_n must be an integer >= 1, got {train_n!r}")
+    ridge = rcfg.get("ridge", 1e-6)
+    if type(ridge) not in (int, float) or not (math.isfinite(ridge) and ridge > 0):
+        raise ConfigError(f"replay.ridge must be a positive finite number, got {ridge!r}")
     noise_std = float(
         args.noise_std if args.noise_std is not None else rcfg.get("noise_std", 0.01)
     )
-    ridge = float(rcfg.get("ridge", 1e-6))
     algos = _pick(args, cfg, "algos", "algos", ("hylinucb", "linucb", "dislinucb"))
     if isinstance(algos, str):
         algos = _parse_algos(algos)
@@ -314,7 +313,7 @@ def cmd_replay(args) -> int:
         if horizon < 2:
             raise ConfigError(f"horizon T must be at least 2, got {horizon}")
     records = list(parse_replay_log(log_path))
-    learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=ridge)
+    learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=float(ridge))
     if horizon is not None:
         if horizon > stream_ctx.T:
             raise ConfigError(
@@ -358,12 +357,19 @@ def cmd_summarize(args) -> int:
         header = fh.readline().strip().split(",")
         if header[:4] != ["algo", "env_id", "trial_id", "round"]:
             raise ConfigError("unrecognized regret CSV header")
-        for line in fh:
-            algo, env_id, trial_id, rnd, cum, _ = line.rstrip("\n").split(",")
-            key = (algo, int(env_id), int(trial_id))
-            if int(rnd) >= rounds.get(key, -1):
-                rounds[key] = int(rnd)
-                finals[key] = float(cum)
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != 6:
+                raise ConfigError(f"{path} line {lineno}: expected 6 fields, got {len(fields)}")
+            algo, env_id, trial_id, rnd, cum, _ = fields
+            try:
+                key = (algo, int(env_id), int(trial_id))
+                rnd, cum = int(rnd), float(cum)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+            if rnd >= rounds.get(key, -1):
+                rounds[key] = rnd
+                finals[key] = cum
     by_algo: dict[str, list[float]] = {}
     t_max = max(rounds.values()) if rounds else 0
     for (algo, _, _), val in sorted(finals.items()):
@@ -375,33 +381,62 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--setting", help="named setting: 1, 2 or 3")
-    parser.add_argument("--algos", help="comma-separated algorithm names")
-    parser.add_argument("--k-grid", dest="k_grid", help="comma-separated K values (setting 3)")
-    parser.add_argument("--scale", type=float, help="scale factor for T and trial counts")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--threads", type=int, help="parallel trial workers")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--rho", type=float, help="diversity constant override")
-    parser.add_argument("--d1", type=int, help="shared feature dimension")
-    parser.add_argument("--d2", type=int, help="arm feature dimension")
-    parser.add_argument("--K", type=int, help="number of arms")
-    parser.add_argument("--T", type=int, help="horizon")
-    parser.add_argument("--n-envs", dest="n_envs", type=int, help="number of environments")
-    parser.add_argument("--n-trials", dest="n_trials", type=int, help="trials per environment")
-    parser.add_argument("--noise-std", dest="noise_std", type=float, help="reward noise std")
-    parser.add_argument("--delta", type=float, help="failure probability")
-    parser.add_argument(
-        "--diagnostics-every",
-        dest="diagnostics_every",
-        type=int,
-        help="diagnostics sampling stride in rounds",
-    )
-    parser.add_argument(
-        "--trace-stride", dest="trace_stride", type=int, help="regret CSV thinning stride"
-    )
+# Every flag of the CLI.  Each command declares only the flags it reads, so a
+# flag it would ignore is a usage error; config keys stay shared instead, so
+# that one config file can serve several commands.
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--setting": dict(help="named setting: 1, 2 or 3"),
+    "--algos": dict(help="comma-separated algorithm names"),
+    "--k-grid": dict(help="comma-separated K values (setting 3)"),
+    "--scale": dict(type=float, help="scale factor for T and trial counts"),
+    "--seed": dict(type=int, help="base seed"),
+    "--threads": dict(type=int, help="parallel trial workers"),
+    "--out-dir": dict(help="output directory"),
+    "--rho": dict(type=float, help="diversity constant override"),
+    "--d1": dict(type=int, help="shared feature dimension"),
+    "--d2": dict(type=int, help="arm feature dimension"),
+    "--K": dict(type=int, help="number of arms"),
+    "--T": dict(type=int, help="horizon"),
+    "--n-envs": dict(type=int, help="number of environments"),
+    "--n-trials": dict(type=int, help="trials per environment"),
+    "--noise-std": dict(type=float, help="reward noise std"),
+    "--delta": dict(type=float, help="failure probability"),
+    "--diagnostics-every": dict(type=int, help="diagnostics sampling stride in rounds"),
+    "--trace-stride": dict(type=int, help="regret CSV thinning stride"),
+    "--out": dict(help="output JSON path"),
+    "--log": dict(help="replay log path (line-delimited JSON)"),
+    "--train-n": dict(type=int, help="training prefix size"),
+    "--regret": dict(required=True, help="regret CSV to summarize"),
+}
+
+# The flags of the experiment spec (see ``_build_spec``).
+_SPEC_FLAGS = (
+    "--config", "--setting", "--algos", "--k-grid", "--scale", "--seed", "--threads",
+    "--out-dir", "--d1", "--d2", "--K", "--T", "--n-envs", "--n-trials", "--noise-std",
+    "--delta", "--diagnostics-every",
+)
+
+# (name, help, handler, flags)
+_COMMANDS = (
+    (
+        "gen-env",
+        "dump one synthetic environment to JSON",
+        cmd_gen_env,
+        ("--config", "--setting", "--d1", "--d2", "--K", "--T", "--noise-std", "--seed",
+         "--out-dir", "--out"),
+    ),
+    ("run", "run a regret experiment and write CSVs", cmd_run, (*_SPEC_FLAGS, "--trace-stride")),
+    ("diagnose", "run with spectral diagnostics and report", cmd_diagnose, (*_SPEC_FLAGS, "--rho")),
+    (
+        "replay",
+        "semi-synthetic run from a replay log",
+        cmd_replay,
+        ("--config", "--log", "--train-n", "--T", "--algos", "--n-trials", "--noise-std",
+         "--delta", "--seed", "--out-dir"),
+    ),
+    ("summarize", "summarize a regret CSV", cmd_summarize, ("--regret", "--out-dir")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,31 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid-reward linear contextual bandit simulations and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-env", help="dump one synthetic environment to JSON")
-    _add_common(p)
-    p.add_argument("--out", help="output JSON path")
-    p.set_defaults(func=cmd_gen_env)
-
-    p = sub.add_parser("run", help="run a regret experiment and write CSVs")
-    _add_common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("diagnose", help="run with spectral diagnostics and report")
-    _add_common(p)
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("replay", help="semi-synthetic run from a replay log")
-    _add_common(p)
-    p.add_argument("--log", help="replay log path (line-delimited JSON)")
-    p.add_argument("--train-n", dest="train_n", type=int, help="training prefix size")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("summarize", help="summarize a regret CSV")
-    p.add_argument("--regret", required=True, help="regret CSV to summarize")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.set_defaults(func=cmd_summarize)
-
+    for name, help_text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -82,8 +82,6 @@ class DiagnosticsSample:
     sandwich_max: float
     conf_residual: float
     conf_gamma: float
-    elliptic_sum: float
-    elliptic_bound: float
 
 
 @dataclass
@@ -259,27 +257,21 @@ class PulledFeatureTracker:
     Kept separate from the policy's own design so the diversity diagnostics
     use a fixed unit ridge no matter which regularizer the policy runs with,
     and so they exist for policies (like the oracle) that keep no design at
-    all.  Holds the unit-ridge blocks ``W`` (K, d2, d2) and ``B`` (K, d1, d2)
-    and the pull counts as plain arrays; the shared block ``V`` is the
-    entries of the unit-ridge ``SymPosDef`` that also carries the running
-    elliptic-potential sum of the shared features.
+    all.  Holds the unit-ridge blocks ``V`` (d1, d1), ``W`` (K, d2, d2) and
+    ``B`` (K, d1, d2) and the pull counts as plain arrays.  ``V`` stays
+    exactly symmetric: entry (i, j) of ``x x^T`` is the same product as
+    entry (j, i).
     """
 
     def __init__(self, d1: int, d2: int, n_arms: int):
-        self.shared = SymPosDef(d1, 1.0)
+        self.V = np.eye(d1)
         self.W = np.repeat(np.eye(d2)[None, :, :], n_arms, axis=0)
         self.B = np.zeros((n_arms, d1, d2))
         self.pull_counts = np.zeros(n_arms, dtype=np.int64)
-        self.elliptic_sum = 0.0
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.shared.entries
 
     def record(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
         """Add one pulled (arm, x, z): V += x x^T, W_arm += z z^T, B_arm += x z^T."""
-        self.elliptic_sum += self.shared.quad_form_inv(x)
-        self.shared.rank_one_update(x)
+        self.V += np.outer(x, x)
         self.W[arm] += np.outer(z, z)
         self.B[arm] += np.outer(x, z)
         self.pull_counts[arm] += 1
@@ -315,8 +307,6 @@ def sample_diagnostics(
     else:
         residual = math.nan
         gamma = getattr(getattr(policy, "config", None), "gamma", math.nan)
-    d1 = tracker.V.shape[0]
-    bound = 2.0 * d1 * math.log(1.0 + round_index / d1)
     return DiagnosticsSample(
         round_index=round_index,
         lambda_min_V=lam_v,
@@ -327,6 +317,4 @@ def sample_diagnostics(
         sandwich_max=smax,
         conf_residual=residual,
         conf_gamma=gamma,
-        elliptic_sum=tracker.elliptic_sum,
-        elliptic_bound=bound,
     )

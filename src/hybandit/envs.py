@@ -130,7 +130,6 @@ class LearnedModel:
 
     params: HybridParams
     fit_residual: float
-    singular: bool = False
 
 
 # Records stacked at a time by the fit; bounds its memory beyond ``data`` itself.
@@ -157,7 +156,6 @@ def hybrid_least_squares(
     *,
     n_arms: int | None = None,
     ridge: float = 1e-6,
-    allow_unregularized: bool = False,
 ) -> LearnedModel:
     """Penalized least-squares fit of the hybrid reward model.
 
@@ -165,16 +163,12 @@ def hybrid_least_squares(
     equations, plus ``ridge * I`` so arms never (or rarely) shown still get a
     unique, zero-shrunk solution, are accumulated ``FIT_CHUNK`` records at a
     time into the block form the policies use and solved by one block solve.
-    ``ridge=0`` needs ``allow_unregularized`` and falls back to a dense
-    minimum-norm solve; rank deficiency is then reported through ``singular``.
     """
     data = list(data)
     if not data:
         raise ValueError("data must be nonempty")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    if ridge == 0.0 and not allow_unregularized:
-        raise ValueError("ridge=0 requires allow_unregularized=True")
+    if not ridge > 0:
+        raise ValueError(f"ridge must be positive, got {ridge}")
     d1 = len(np.asarray(data[0][1], dtype=float))
     d2 = len(np.asarray(data[0][2], dtype=float))
     arm_ids = [int(item[0]) for item in data]
@@ -182,29 +176,17 @@ def hybrid_least_squares(
     if min(arm_ids) < 0 or max(arm_ids) >= k:
         raise ValueError(f"arm indices {min(arm_ids)}..{max(arm_ids)} out of range for {k} arms")
 
-    if ridge == 0.0:
-        ((arms, xs, zs, ys),) = _record_stacks(data, d1, d2, len(data))
-        rows = np.zeros((len(data), d1 + d2 * k))
-        rows[:, :d1] = xs
-        rows[np.arange(len(data))[:, None], d1 + d2 * arms[:, None] + np.arange(d2)] = zs
-        phi, _, rank, _ = np.linalg.lstsq(rows, ys, rcond=None)
-        theta, betas = phi[:d1], phi[d1:].reshape(k, d2)
-        singular = rank < d1 + d2 * k
-    else:
-        design = BlockDesign(d1, d2, k, ridge)
-        u_shared = np.zeros(d1)
-        u_arms = np.zeros((k, d2))
-        for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
-            design.V += xs.T @ xs
-            u_shared += xs.T @ ys
-            np.add.at(design.W, arms, zs[:, :, None] * zs[:, None, :])
-            np.add.at(design.B, arms, xs[:, :, None] * zs[:, None, :])
-            np.add.at(u_arms, arms, zs * ys[:, None])
-            design.pull_counts += np.bincount(arms, minlength=k)
-        design.t = len(data)
-        design.refresh()
-        theta, betas = design.solve_blocks(u_shared, u_arms)
-        singular = False
+    design = BlockDesign(d1, d2, k, ridge)
+    u_shared = np.zeros(d1)
+    u_arms = np.zeros((k, d2))
+    for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
+        design.V += xs.T @ xs
+        u_shared += xs.T @ ys
+        np.add.at(design.W, arms, zs[:, :, None] * zs[:, None, :])
+        np.add.at(design.B, arms, xs[:, :, None] * zs[:, None, :])
+        np.add.at(u_arms, arms, zs * ys[:, None])
+    design.refresh()
+    theta, betas = design.solve_blocks(u_shared, u_arms)
     rss = 0.0
     for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
         resid = xs @ theta + np.einsum("nd,nd->n", zs, betas[arms]) - ys
@@ -216,4 +198,4 @@ def hybrid_least_squares(
         float(np.max(np.linalg.norm(betas, axis=1))) if k else 0.0,
     )
     params = HybridParams(theta, betas, S=bound)
-    return LearnedModel(params, rss, singular)
+    return LearnedModel(params, rss)

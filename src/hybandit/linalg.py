@@ -171,7 +171,6 @@ class BlockDesign:
         self.B = np.zeros((n_arms, d1, d2))
         self.C = np.zeros((n_arms, d1, d2))
         self.F = np.eye(d1) / self.ridge
-        self.pull_counts = np.zeros(n_arms, dtype=np.int64)
         self.t = 0
 
     @property
@@ -201,7 +200,6 @@ class BlockDesign:
         self.W[a] += np.outer(z, z)
         self.B[a] += np.outer(x, z)
         self.C[a] = self.B[a] @ self.W_inv[a]
-        self.pull_counts[a] += 1
         self.t += 1
         if self.t % INVERSE_REFRESH_EVERY == 0:
             self.refresh()

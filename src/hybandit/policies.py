@@ -81,11 +81,7 @@ def exploration_coefficient(
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Frozen per-trial policy configuration.
-
-    ``overridden`` records that lambda and/or gamma were set explicitly
-    instead of from :func:`default_lambda` / :func:`exploration_coefficient`.
-    """
+    """Frozen per-trial policy configuration."""
 
     algo: str
     d1: int
@@ -96,7 +92,6 @@ class PolicyConfig:
     delta: float
     lam: float
     gamma: float
-    overridden: bool = False
 
     @classmethod
     def create(
@@ -114,7 +109,6 @@ class PolicyConfig:
     ) -> "PolicyConfig":
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-        overridden = lam is not None or gamma is not None
         lam_val = default_lambda(algo, n_arms) if lam is None else float(lam)
         gamma_val = (
             exploration_coefficient(
@@ -123,7 +117,7 @@ class PolicyConfig:
             if gamma is None
             else float(gamma)
         )
-        return cls(algo, d1, d2, n_arms, S, T, delta, lam_val, gamma_val, overridden)
+        return cls(algo, d1, d2, n_arms, S, T, delta, lam_val, gamma_val)
 
 
 class SharedLinearUCB:

@@ -1,6 +1,10 @@
 import json
+import re
+from pathlib import Path
 
-from hybandit.cli import main
+import pytest
+
+from hybandit.cli import build_parser, main
 from hybandit.replay import write_replay_log
 
 from test_replay import synth_records
@@ -41,6 +45,18 @@ class TestGenEnv:
 
     def test_missing_dims_exits_2(self, tmp_path, capsys):
         assert run_cli("gen-env", "--out", str(tmp_path / "x.json")) == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--algos", "--k-grid", "--scale", "--threads", "--rho", "--n-envs", "--n-trials",
+         "--delta", "--diagnostics-every", "--trace-stride"],
+    )
+    def test_unread_flag_is_usage_error(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen-env", "--setting", "1", flag, "1", "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestRun:
@@ -117,6 +133,17 @@ class TestRun:
         assert not (tmp_path / "regret.csv").exists()
 
 
+    def test_rho_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "run", "--setting", "custom", "--d1", "3", "--d2", "2", "--K", "3",
+                "--T", "20", "--rho", "0.05", "--out-dir", str(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "--rho" in capsys.readouterr().err
+        assert not (tmp_path / "regret.csv").exists()
+
+
 class TestDiagnose:
     def test_produces_report_and_csv(self, tmp_path, capsys):
         rc = run_cli(
@@ -162,6 +189,17 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert "got 1" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+
+    def test_trace_stride_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "diagnose", "--setting", "custom", "--d1", "3", "--d2", "3", "--K", "3",
+                "--T", "200", "--trace-stride", "2", "--out-dir", str(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "--trace-stride" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.csv").exists()
 
 
@@ -240,6 +278,44 @@ class TestReplay:
     def test_missing_log_exits_2(self, tmp_path):
         assert run_cli("replay", "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--setting", "--k-grid", "--scale", "--threads", "--rho", "--d1", "--d2", "--K",
+         "--n-envs", "--diagnostics-every", "--trace-stride"],
+    )
+    def test_unread_flag_is_usage_error(self, flag, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(5, 60, n_arms=3))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("replay", "--log", str(log), "--train-n", "40", flag, "1",
+                    "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "replay_regret.csv").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"ridge": 0}, {"ridge": -1.0}, {"ridge": float("nan")}, {"ridge": float("inf")},
+         {"ridge": "1e-6"}, {"ridge": True}, {"train_n": "x"}, {"train_n": 0},
+         {"train_n": 2.5}],
+        ids=["ridge_zero", "ridge_negative", "ridge_nan", "ridge_inf", "ridge_string",
+             "ridge_bool", "train_n_string", "train_n_zero", "train_n_fraction"],
+    )
+    def test_bad_replay_config_exits_2_before_reading_log(self, entry, tmp_path, capsys):
+        # the log does not exist: reading it would fail with exit code 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replay": {"log": str(tmp_path / "none.jsonl"), **entry}}))
+        assert run_cli("replay", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert next(iter(entry)) in err
+        assert "none.jsonl" not in err
+
+    def test_train_n_flag_below_one_exits_2(self, tmp_path, capsys):
+        rc = run_cli("replay", "--log", str(tmp_path / "none.jsonl"), "--train-n", "0",
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "train_n" in capsys.readouterr().err
+
 
 class TestSummarize:
     def test_round_trip(self, tmp_path):
@@ -283,6 +359,24 @@ class TestSummarize:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("summarize", "--regret", str(tmp_path / "no.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "row",
+        ["linucb,0,0,2,0.75", "linucb,0,0,2,0.75,1,9", "linucb,x,0,2,0.75,1",
+         "linucb,0,y,2,0.75,1", "linucb,0,0,2.5,0.75,1", "linucb,0,0,2,abc,1"],
+        ids=["too_few_fields", "too_many_fields", "env_id", "trial_id", "round",
+             "cum_regret"],
+    )
+    def test_malformed_row_exits_2_naming_line(self, row, tmp_path, capsys):
+        regret = tmp_path / "regret.csv"
+        regret.write_text(
+            "algo,env_id,trial_id,round,cum_regret,chosen_arm\n"
+            f"linucb,0,0,1,0.5,2\n{row}\nlinucb,0,0,3,0.8,0\n"
+        )
+        out = tmp_path / "sum"
+        assert run_cli("summarize", "--regret", str(regret), "--out-dir", str(out)) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
 
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HYBANDIT_OUT_DIR", str(tmp_path / "envout"))
@@ -292,3 +386,21 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert (tmp_path / "envout" / "regret.csv").exists()
+
+
+def _readme_invocations():
+    """The ``hybandit`` command lines of the README's CLI section."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = re.sub(r"\\\n\s*", " ", block)
+    return [line.split()[1:] for line in joined.splitlines() if line.startswith("hybandit ")]
+
+
+def test_readme_invocations_parse():
+    invocations = _readme_invocations()
+    assert {argv[0] for argv in invocations} == {
+        "gen-env", "run", "diagnose", "replay", "summarize"
+    }
+    parser = build_parser()
+    for argv in invocations:
+        parser.parse_args(argv)

@@ -193,8 +193,6 @@ def constant_eig_trace(n_samples=10, n_arms=2):
                 sandwich_max=1.0,
                 conf_residual=0.0,
                 conf_gamma=1.0,
-                elliptic_sum=0.0,
-                elliptic_bound=1.0,
             )
         )
     return trace
@@ -257,6 +255,20 @@ class TestSampleDiagnostics:
         assert np.allclose(tracker.W, w, atol=1e-12)
         assert np.allclose(tracker.B, b, atol=1e-12)
         assert tracker.pull_counts.sum() == 50
+
+    def test_tracker_v_exact_past_10000_records(self, rng):
+        # V stays exactly symmetric, so it needs no periodic re-symmetrization
+        d1, d2, n_arms, n = 4, 2, 3, 10_001
+        tracker = PulledFeatureTracker(d1, d2, n_arms)
+        xs, zs = sample_unit_ball(rng, d1, n), sample_unit_ball(rng, d2, n)
+        v = np.eye(d1)
+        for s in range(n):
+            tracker.record(s % n_arms, xs[s], zs[s])
+            v += np.outer(xs[s], xs[s])
+        assert np.array_equal(tracker.V, v)
+        assert np.array_equal(tracker.V, tracker.V.T)
+        sample = sample_diagnostics(tracker, None, None, n)
+        assert sample.lambda_min_V == np.linalg.eigvalsh(v)[0]
 
     def test_batched_spectra_match_per_arm_loops(self, rng):
         tracker = self.recorded_tracker(rng, 4, 3, 5, 200)

@@ -111,7 +111,7 @@ class TestBlockDesign:
         assert np.allclose(bd.W[1], lam * np.eye(2) + np.outer(z, z))
         assert np.allclose(bd.B[1], np.outer(x, z))
         assert not np.any(bd.B[0]) and not np.any(bd.B[2]) and not np.any(bd.B[3])
-        assert bd.t == 1 and bd.pull_counts[1] == 1
+        assert bd.t == 1
 
     def test_zero_z_touches_only_v_and_counters(self, rng):
         bd = BlockDesign(3, 2, 2, 1.0)
@@ -120,7 +120,7 @@ class TestBlockDesign:
         assert np.allclose(bd.V, np.eye(3) + np.outer(x, x))
         assert np.allclose(bd.W[0], np.eye(2))
         assert not np.any(bd.B)
-        assert bd.pull_counts[0] == 1 and bd.t == 1
+        assert bd.t == 1
 
     def test_dense_accumulation_oracle(self, rng):
         d1, d2, n_arms = 2, 2, 3
@@ -134,10 +134,6 @@ class TestBlockDesign:
             v = u.dense(n_arms)
             dense += np.outer(v, v)
         assert np.max(np.abs(bd.assemble_dense() - dense)) < 1e-10
-
-    def test_pull_counts_sum_to_t(self, rng):
-        bd = random_design(rng, 3, 2, 4, 1.0, 57)
-        assert int(np.sum(bd.pull_counts)) == bd.t == 57
 
     def test_solve_fresh_design_is_scaled_identity(self, rng):
         lam = 2.5

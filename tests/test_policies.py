@@ -75,14 +75,12 @@ class TestDefaultLambda:
 class TestPolicyConfig:
     def test_defaults_not_overridden(self):
         cfg = PolicyConfig.create(HYLINUCB, d1=3, d2=2, n_arms=4, S=1.0, T=100)
-        assert not cfg.overridden
         assert cfg.lam == 4.0
 
     def test_override_recorded(self):
         cfg = PolicyConfig.create(
             HYLINUCB, d1=3, d2=2, n_arms=4, S=1.0, T=100, gamma=1.0
         )
-        assert cfg.overridden
         assert cfg.gamma == 1.0
 
 
