@@ -252,6 +252,7 @@ def cmd_diagnose(args) -> int:
     for algo in sorted(by_algo):
         reports = [validate_assumption(diag, rho, spec.delta) for diag in by_algo[algo]]
         v_slopes = [r.v_slope for r in reports if not math.isnan(r.v_slope)]
+        w_slopes = [r.w_slope for r in reports if not math.isnan(r.w_slope)]
         flags = sum(not (r.v_slope_ok and r.w_slope_ok and r.b_norm_ok) for r in reports)
         sandwich_lo, sandwich_hi = math.inf, -math.inf
         conf_viol = 0
@@ -270,7 +271,8 @@ def cmd_diagnose(args) -> int:
                 f"  lambda_min(V) slope mean {np.mean(v_slopes):.6g} "
                 f"(expected about {rho:.6g})"
             )
-        print(f"  lambda_min(W) slope mean {np.mean([r.w_slope for r in reports]):.6g}")
+        if w_slopes:
+            print(f"  lambda_min(W) slope mean {np.mean(w_slopes):.6g}")
         print(
             f"  max sigma_max(B)/sqrt(tau) {np.max([r.b_ratio_max for r in reports]):.6g} "
             f"(bound {reports[0].b_ratio_bound:.6g})"
@@ -284,34 +286,55 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _checked(key: str, value, expected: str, ok):
+    """``value`` if it is a finite JSON number (int or float, not bool) that passes ``ok``."""
+    finite = type(value) is int or (type(value) is float and math.isfinite(value))
+    if not (finite and ok(value)):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
 def cmd_replay(args) -> int:
     cfg = load_config(args.config)
     rcfg = cfg.get("replay", {})
     log_path = args.log or rcfg.get("log")
     if not log_path:
         raise ConfigError("replay needs --log or a 'replay.log' config entry")
-    train_n = args.train_n if args.train_n is not None else rcfg.get("train_n", 1000)
-    if type(train_n) is not int or train_n < 1:
-        raise ConfigError(f"train_n must be an integer >= 1, got {train_n!r}")
-    ridge = rcfg.get("ridge", 1e-6)
-    if type(ridge) not in (int, float) or not (math.isfinite(ridge) and ridge > 0):
-        raise ConfigError(f"replay.ridge must be a positive finite number, got {ridge!r}")
-    noise_std = float(
-        args.noise_std if args.noise_std is not None else rcfg.get("noise_std", 0.01)
+    train_n = _checked(
+        "train_n",
+        args.train_n if args.train_n is not None else rcfg.get("train_n", 1000),
+        "an integer >= 1",
+        lambda n: type(n) is int and n >= 1,
+    )
+    ridge = _checked(
+        "replay.ridge", rcfg.get("ridge", 1e-6), "a positive finite number", lambda r: r > 0
+    )
+    noise_std = _checked(
+        "noise_std",
+        args.noise_std if args.noise_std is not None else rcfg.get("noise_std", 0.01),
+        "a finite number >= 0",
+        lambda s: s >= 0,
     )
     algos = _pick(args, cfg, "algos", "algos", ("hylinucb", "linucb", "dislinucb"))
     if isinstance(algos, str):
         algos = _parse_algos(algos)
-    n_trials = int(_pick(args, cfg, "n_trials", "n_trials", 1))
-    delta = float(_pick(args, cfg, "delta", "delta", 0.1))
-    seed = int(_pick(args, cfg, "seed", "seed", 0))
+    n_trials = _checked(
+        "n_trials",
+        _pick(args, cfg, "n_trials", "n_trials", 1),
+        "an integer >= 1",
+        lambda n: type(n) is int and n >= 1,
+    )
+    delta = _checked(
+        "delta", _pick(args, cfg, "delta", "delta", 0.1), "a number in (0, 1)", lambda d: 0 < d < 1
+    )
+    seed = _checked(
+        "seed", _pick(args, cfg, "seed", "seed", 0), "an integer", lambda n: type(n) is int
+    )
     out = _out_dir(args, cfg)
 
     horizon = _pick(args, cfg, "T", "T", None)
     if horizon is not None:
-        horizon = int(horizon)
-        if horizon < 2:
-            raise ConfigError(f"horizon T must be at least 2, got {horizon}")
+        _checked("horizon T", horizon, "an integer >= 2", lambda n: type(n) is int and n >= 2)
     records = list(parse_replay_log(log_path))
     learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=float(ridge))
     if horizon is not None:
@@ -323,7 +346,7 @@ def cmd_replay(args) -> int:
         stream_ctx = ReplayContextStream(
             stream_ctx.records[:horizon], stream_ctx.user_scale, stream_ctx.arm_scale
         )
-    env = Environment(0, derive_seed(seed, 0), learned.params, stream_ctx, noise_std)
+    env = Environment(0, derive_seed(seed, 0), learned.params, stream_ctx, float(noise_std))
     print(
         f"replaying {stream_ctx.T} rounds (trained on {train_n} records, "
         f"fit residual {learned.fit_residual:.6g})",

@@ -208,8 +208,11 @@ class AssumptionReport:
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of ``y`` against ``x``; NaN when ``x`` has one distinct value."""
     if len(x) < 2:
         raise ValueError("need at least two samples to fit a slope")
+    if np.ptp(x) == 0:
+        return math.nan
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -220,7 +223,9 @@ def validate_assumption(
 
     Fits the slope of lambda_min(V) against the round count and of the per-arm
     lambda_min(W_i) against that arm's pull count; slopes at least half the
-    expected diversity constant pass.  Cross-block norms must stay below
+    expected diversity constant pass.  A slope that cannot be fitted (a
+    non-finite lambda_min(V), or one pull count for every sampled arm) is
+    NaN and passes.  Cross-block norms must stay below
     ``sqrt(8 tau log(K (d1 + d2) / delta))`` at every sampled round.
     """
     if not trace.samples:
@@ -246,7 +251,7 @@ def validate_assumption(
         b_ratio_max=ratio_max,
         b_ratio_bound=b_bound,
         v_slope_ok=bool(math.isnan(v_slope) or v_slope >= rho_expected / 2.0),
-        w_slope_ok=w_slope >= rho_expected / 2.0,
+        w_slope_ok=bool(math.isnan(w_slope) or w_slope >= rho_expected / 2.0),
         b_norm_ok=ratio_max <= b_bound,
     )
 

@@ -17,7 +17,6 @@ order so output files are byte-stable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,6 +176,8 @@ def run_traces(
     included, every ``diagnostics_every`` rounds (see :func:`sample_diagnostics`).
     Returns one ``(trace, diagnostics or None)`` pair per run, in order.
     """
+    if not env.noise_std >= 0:
+        raise ValueError(f"noise_std must be nonnegative, got {env.noise_std}")
     p = env.params
     T = env.contexts.T
     policy_args = dict(d1=p.d1, d2=p.d2, n_arms=p.n_arms, S=p.S, T=T, delta=delta)
@@ -350,6 +351,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             jobs.append((cfg, env_idx, runs[g::groups], spec.delta, spec.diagnostics_every))
 
     if spec.threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
             results = [pair for group in pool.map(_run_group_job, jobs) for pair in group]
     else:

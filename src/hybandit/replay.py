@@ -121,11 +121,16 @@ def build_features(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     The shared features are the row-major vectorization of ``u v^T`` (so
     their inner product with a flattened d_u x d_v parameter matrix is the
-    bilinear form ``u^T A v``); the arm features are ``v`` itself.
+    bilinear form ``u^T A v``); the arm features are ``v`` itself.  Leading
+    axes broadcast: ``(n, du)`` users with ``(n, dv)`` arms give ``(n, du *
+    dv)`` and ``(n, dv)`` features, one row per pair, and one ``(du,)`` user
+    with ``(K, dv)`` arms gives one row per arm.  Each entry is the same
+    product ``u_a v_b`` that ``np.outer`` computes.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.outer(u, v).ravel(), v.copy()
+    x = u[..., :, None] * v[..., None, :]
+    return x.reshape(*x.shape[:-2], -1), v.copy()
 
 
 class ReplayContextStream:
@@ -146,10 +151,7 @@ class ReplayContextStream:
 
     def round(self, t: int) -> ContextRound:
         rec = self.records[t]
-        u = rec.user / self.user_scale
-        arms = rec.arms / self.arm_scale
-        xs = np.einsum("a,kb->kab", u, arms).reshape(arms.shape[0], -1)
-        return ContextRound(xs, arms)
+        return ContextRound(*build_features(rec.user / self.user_scale, rec.arms / self.arm_scale))
 
 
 def _norm_scales(records: list[ReplayRecord]) -> tuple[float, float]:
@@ -191,10 +193,11 @@ def semi_synthetic_environment(
         )
     user_scale, arm_scale = _norm_scales(records)
     train = records[:train_n]
-    data = []
-    for rec in train:
-        x, z = build_features(rec.user / user_scale, rec.arms[rec.displayed] / arm_scale)
-        data.append((rec.displayed, x, z, float(rec.click)))
+    xs, zs = build_features(
+        np.stack([rec.user for rec in train]) / user_scale,
+        np.stack([rec.arms[rec.displayed] for rec in train]) / arm_scale,
+    )
+    data = [(rec.displayed, x, z, float(rec.click)) for rec, x, z in zip(train, xs, zs)]
     n_arms = records[0].arms.shape[0]
     learned = hybrid_least_squares(data, n_arms=n_arms, ridge=ridge)
     return learned, ReplayContextStream(records[train_n:], user_scale, arm_scale)

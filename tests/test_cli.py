@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,20 @@ class TestDiagnose:
         assert not (tmp_path / "diagnostics.csv").exists()
 
 
+    def test_one_pull_count_omits_w_slope(self, tmp_path, capsys):
+        # the benchmark's set-up shape: at T=2 every pulled arm has tau = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                "diagnose", "--d1", "10", "--d2", "10", "--K", "5", "--T", "2",
+                "--algos", "hylinucb", "--n-envs", "1", "--n-trials", "1",
+                "--diagnostics-every", "1", "--out-dir", str(tmp_path),
+            )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "lambda_min(V) slope mean" in out
+        assert "lambda_min(W) slope" not in out
+
     def test_trace_stride_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -308,6 +323,41 @@ class TestReplay:
         assert run_cli("replay", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert next(iter(entry)) in err
+        assert "none.jsonl" not in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n_trials": "x"}, {"n_trials": 0}, {"n_trials": 1.5}, {"delta": 2}, {"delta": 0},
+         {"delta": "0.1"}, {"seed": "x"}, {"seed": 1.5}, {"replay": {"noise_std": "x"}},
+         {"replay": {"noise_std": -1}}, {"replay": {"noise_std": float("nan")}}, {"T": "x"},
+         {"T": 2.7}],
+        ids=["n_trials_string", "n_trials_zero", "n_trials_fraction", "delta_two",
+             "delta_zero", "delta_string", "seed_string", "seed_fraction",
+             "noise_std_string", "noise_std_negative", "noise_std_nan", "T_string",
+             "T_fraction"],
+    )
+    def test_bad_value_in_config_exits_2_before_reading_log(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = run_cli("replay", "--config", str(cfg), "--log", str(tmp_path / "none.jsonl"),
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        key = next(iter(doc))
+        assert (key if key != "replay" else "noise_std") in err
+        assert "none.jsonl" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise-std", "-1"), ("--noise-std", "inf"), ("--delta", "1"), ("--delta", "nan"),
+         ("--n-trials", "0")],
+    )
+    def test_bad_flag_value_exits_2_before_reading_log(self, flag, value, tmp_path, capsys):
+        rc = run_cli("replay", "--log", str(tmp_path / "none.jsonl"), flag, value,
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err
         assert "none.jsonl" not in err
 
     def test_train_n_flag_below_one_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ class TestValidateAssumption:
         report = validate_assumption(diag, unit_ball_diversity(4, 4))
         assert report.b_norm_ok
         assert report.b_ratio_max <= report.b_ratio_bound
+
+    def test_one_pull_count_leaves_w_slope_unfitted(self):
+        # at T=2 every pulled arm has tau = 1: no slope to fit, and no RankWarning
+        env = synthetic_environment(
+            SyntheticEnvConfig(d1=10, d2=10, n_arms=5, T=2, noise_std=0.1, env_seed=23)
+        )
+        _, diag = run_trial("hylinucb", env, 0, diagnostics_every=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_assumption(diag, unit_ball_diversity(10, 10))
+        assert math.isnan(report.w_slope)
+        assert report.w_slope_ok
+        assert math.isfinite(report.v_slope)
 
     def test_insufficient_samples(self):
         trace = constant_eig_trace(n_samples=1)

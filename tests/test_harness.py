@@ -127,6 +127,11 @@ LOCKSTEP_RUNS = [
 
 
 class TestRunTraces:
+    def test_negative_noise_std_rejected(self):
+        env = dataclasses.replace(desk_env(), noise_std=-1.0)
+        with pytest.raises(ValueError, match="noise_std"):
+            run_traces(env, [("hylinucb", 0)])
+
     def test_lockstep_equals_one_run_at_a_time(self):
         env = desk_env(seed=5, d1=3, d2=2, n_arms=4, T=120)
         together = run_traces(env, LOCKSTEP_RUNS, diagnostics_every=40)

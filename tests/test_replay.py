@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hybandit.envs import sample_unit_ball
+from hybandit.envs import hybrid_least_squares, sample_unit_ball
 from hybandit.harness import Environment, run_trial
 from hybandit.model import mean_reward
 from hybandit.replay import (
@@ -157,8 +157,6 @@ class TestSemiSyntheticEnvironment:
         for rec in records:
             x, z = build_features(rec.user, rec.arms[rec.displayed])
             data.append((rec.displayed, x, z, mean_reward(planted, rec.displayed, x, z)))
-        from hybandit.envs import hybrid_least_squares
-
         fit = hybrid_least_squares(data, n_arms=4, ridge=1e-8)
         assert np.linalg.norm(fit.params.theta - planted.theta) < 1e-5
         assert np.max(np.abs(fit.params.betas - planted.betas)) < 1e-4
@@ -190,6 +188,44 @@ class TestSemiSyntheticEnvironment:
             user_max = max(float(np.linalg.norm(r.user)) for r in records)
             arm_max = max(float(np.max(np.linalg.norm(r.arms, axis=1))) for r in records)
             assert _norm_scales(records) == (max(1.0, user_max), max(1.0, arm_max))
+
+    def test_stacked_features_match_per_record_outer(self, monkeypatch):
+        # Bit-for-bit: one stacked build_features call gives the per-record
+        # np.outer training data, hence the same fit, and every replay round
+        # equals its per-arm np.outer stack.  Norms above 1 make both scales divide.
+        records = [
+            ReplayRecord(3.0 * r.user, 2.0 * r.arms, r.displayed, r.click)
+            for r in synth_records(11, 1200, n_arms=4, du=4, dv=5)
+        ]
+        fitted = []
+
+        def recording_fit(data, **kwargs):
+            fitted.append(data)
+            return hybrid_least_squares(data, **kwargs)
+
+        monkeypatch.setattr("hybandit.replay.hybrid_least_squares", recording_fit)
+        learned, ctxs = semi_synthetic_environment(records, 1000)
+        (data,) = fitted
+        us, arm_s = ctxs.user_scale, ctxs.arm_scale
+        assert us > 1.0 and arm_s > 1.0
+        loop = [
+            (r.displayed, np.outer(r.user / us, r.arms[r.displayed] / arm_s).ravel(),
+             r.arms[r.displayed] / arm_s, float(r.click))
+            for r in records[:1000]
+        ]
+        assert len(data) == len(loop)
+        for (arm, x, z, y), (arm_l, x_l, z_l, y_l) in zip(data, loop):
+            assert arm == arm_l and y == y_l
+            assert np.array_equal(x, x_l) and np.array_equal(z, z_l)
+        ref = hybrid_least_squares(loop, n_arms=4, ridge=1e-6)
+        assert np.array_equal(learned.params.theta, ref.params.theta)
+        assert np.array_equal(learned.params.betas, ref.params.betas)
+        assert learned.fit_residual == ref.fit_residual
+        for t, rec in enumerate(records[1000:]):
+            ctx = ctxs.round(t)
+            u, arms = rec.user / us, rec.arms / arm_s
+            assert np.array_equal(ctx.xs, np.stack([np.outer(u, a).ravel() for a in arms]))
+            assert np.array_equal(ctx.zs, arms)
 
     def test_context_norms_bounded(self):
         records = synth_records(10, 50, n_arms=3)
