@@ -8,9 +8,12 @@ Commands
     hybandit replay    --log file.jsonl [--train-n N] [--T rounds] ...
     hybandit summarize --regret regret.csv [--out-dir DIR]
 
-Option precedence is flags > config file > defaults.  Output files land in
-``--out-dir`` (or ``$HYBANDIT_OUT_DIR``, or the working directory).  Runs are
-idempotent: identical configs and seeds give byte-identical output files.
+Every input key is one entry of ``KEYS``: its config name, flag, JSON type,
+range and the default of each command that reads it.  A command resolves
+every key it reads (flag > config file > default) and checks it against the
+table before any work starts.  Output files land in ``--out-dir`` (or
+``$HYBANDIT_OUT_DIR``, or the working directory).  Runs are idempotent:
+identical configs and seeds give byte-identical output files.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage, config or input error (a
 bad replay log or regret CSV).
@@ -23,6 +26,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +44,6 @@ from .harness import (
     write_regret_csv,
     write_summary_csv,
 )
-from .policies import ALGORITHMS, ORACLE
 from .replay import (
     ReplayContextStream,
     ReplayLogError,
@@ -53,29 +57,125 @@ class ConfigError(Exception):
     """Bad configuration or usage; maps to exit code 2."""
 
 
-_TOP_KEYS = {
-    "setting",
-    "algos",
-    "n_envs",
-    "n_trials",
-    "k_grid",
-    "d1",
-    "d2",
-    "K",
-    "T",
-    "S",
-    "noise_std",
-    "delta",
-    "seed",
-    "scale",
-    "threads",
-    "diagnostics_every",
-    "trace_stride",
-    "out_dir",
-    "rho",
-    "replay",
+def _algo_names(text: str) -> tuple[str, ...]:
+    return tuple(a.strip().lower() for a in text.split(",") if a.strip())
+
+
+def _json_list(text: str):
+    """Flag type of an array key: ``10,25`` is read as the JSON array ``[10, 25]``.
+
+    Text that does not parse stays text, which the key's type check rejects.
+    """
+    try:
+        return json.loads(f"[{text}]")
+    except json.JSONDecodeError:
+        return text
+
+
+def _setting_flag(text: str):
+    """Flag type of ``setting``: ``1`` is the named setting 1; other text stays text."""
+    return {str(n): n for n in harness.SETTING_SHAPES}.get(text, text)
+
+
+# JSON type -> (check of a config value, argparse type of its flag).  A bool is
+# not an integer, and a number is finite.
+_TYPES = {
+    "integer": (lambda v: type(v) is int, int),
+    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), float),
+    "string": (lambda v: type(v) is str, str),
+    "integer or string": (lambda v: type(v) in (int, str), _setting_flag),
+    "integer array": (lambda v: type(v) is list and all(type(k) is int for k in v), _json_list),
 }
-_REPLAY_KEYS = {"log", "train_n", "noise_std", "ridge"}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One input key.
+
+    ``defaults`` maps each command that reads the key to its default; None
+    there means the command derives the value (from the setting's shape, the
+    log's length, ``$HYBANDIT_OUT_DIR``), or that the key is required.
+    """
+
+    name: str  # config key; "replay.<name>" sits in the config's "replay" object
+    flag: str | None
+    kind: str  # JSON type, a key of _TYPES
+    range: str  # the allowed range, in words
+    ok: Callable[[object], bool]  # range check of a value of the right type
+    defaults: dict
+    help: str = ""
+
+    def check(self, value):
+        """``value`` if it has the key's type and range, else ``ConfigError``."""
+        if not (_TYPES[self.kind][0](value) and self.ok(value)):
+            article = "an" if self.kind[0] in "aeiou" else "a"
+            expected = " ".join(filter(None, (article, self.kind, self.range)))
+            raise ConfigError(f"{self.name} must be {expected}, got {value!r}")
+        return value
+
+
+# Commands that read the same keys: the experiment spec, and the problem's shape.
+_SPEC = ("run", "diagnose")
+_SHAPED = ("gen-env", *_SPEC)
+
+
+def _any(value) -> bool:
+    return True
+
+
+KEYS = (
+    Key("setting", "--setting", "integer or string", '1, 2, 3 or "custom"',
+        lambda v: v in (*harness.SETTING_SHAPES, "custom"),
+        dict.fromkeys(_SHAPED, "custom"), "named setting: 1, 2 or 3"),
+    Key("algos", "--algos", "string",
+        "of comma-separated names from " + ", ".join(harness.VALID_ALGOS),
+        lambda v: bool(_algo_names(v)) and set(_algo_names(v)) <= set(harness.VALID_ALGOS),
+        dict.fromkeys((*_SPEC, "replay"), "hylinucb,linucb,dislinucb"),
+        "comma-separated algorithm names"),
+    Key("n_envs", "--n-envs", "integer", ">= 1", lambda v: v >= 1,
+        dict.fromkeys(_SPEC, 5), "number of environments"),
+    Key("n_trials", "--n-trials", "integer", ">= 1", lambda v: v >= 1,
+        {"run": 5, "diagnose": 5, "replay": 1}, "trials per environment"),
+    Key("k_grid", "--k-grid", "integer array", "of K values >= 1, nonempty",
+        lambda v: bool(v) and min(v) >= 1,
+        dict.fromkeys(_SPEC, None), "comma-separated K values (setting 3)"),
+    Key("d1", "--d1", "integer", ">= 1", lambda v: v >= 1,
+        dict.fromkeys(_SHAPED, None), "shared feature dimension"),
+    Key("d2", "--d2", "integer", ">= 1", lambda v: v >= 1,
+        dict.fromkeys(_SHAPED, None), "arm feature dimension"),
+    Key("K", "--K", "integer", ">= 1", lambda v: v >= 1,
+        dict.fromkeys(_SHAPED, None), "number of arms"),
+    Key("T", "--T", "integer", ">= 2", lambda v: v >= 2,
+        dict.fromkeys((*_SHAPED, "replay"), None), "horizon"),
+    Key("S", None, "number", "> 0", lambda v: v > 0,
+        dict.fromkeys(_SHAPED, 1.0)),
+    Key("noise_std", "--noise-std", "number", ">= 0", lambda v: v >= 0,
+        dict.fromkeys(_SHAPED, 0.1), "reward noise std"),
+    Key("delta", "--delta", "number", "in (0, 1)", lambda v: 0 < v < 1,
+        dict.fromkeys((*_SPEC, "replay"), 0.1), "failure probability"),
+    Key("seed", "--seed", "integer", "", _any,
+        dict.fromkeys((*_SHAPED, "replay"), 0), "base seed"),
+    Key("scale", "--scale", "number", "> 0", lambda v: v > 0,
+        dict.fromkeys(_SPEC, 1.0), "scale factor for T and trial counts"),
+    Key("threads", "--threads", "integer", ">= 1", lambda v: v >= 1,
+        dict.fromkeys(_SPEC, 1), "parallel trial workers"),
+    Key("diagnostics_every", "--diagnostics-every", "integer", ">= 0", lambda v: v >= 0,
+        {"run": 0, "diagnose": 100}, "diagnostics sampling stride in rounds"),
+    Key("trace_stride", "--trace-stride", "integer", ">= 1", lambda v: v >= 1,
+        {"run": 1}, "regret CSV thinning stride"),
+    Key("out_dir", "--out-dir", "string", "", _any,
+        dict.fromkeys((*_SHAPED, "replay", "summarize"), None), "output directory"),
+    Key("rho", "--rho", "number", "in (0, 1]", lambda v: 0 < v <= 1,
+        {"diagnose": None}, "diversity constant override"),
+    Key("replay.log", "--log", "string", "", _any,
+        {"replay": None}, "replay log path (line-delimited JSON)"),
+    Key("replay.train_n", "--train-n", "integer", ">= 1", lambda v: v >= 1,
+        {"replay": 1000}, "training prefix size"),
+    Key("replay.noise_std", "--noise-std", "number", ">= 0", lambda v: v >= 0,
+        {"replay": 0.01}, "reward noise std"),
+    Key("replay.ridge", None, "number", "> 0", lambda v: v > 0,
+        {"replay": 1e-6}),
+)
 
 
 def load_config(path: str | None) -> dict:
@@ -90,127 +190,97 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - {key.name.partition(".")[0] for key in KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     replay = doc.get("replay", {})
-    if replay:
-        if not isinstance(replay, dict):
-            raise ConfigError("'replay' must be an object")
-        bad = set(replay) - _REPLAY_KEYS
-        if bad:
-            raise ConfigError(f"unknown replay config keys: {sorted(bad)}")
+    if not isinstance(replay, dict):
+        raise ConfigError("'replay' must be an object")
+    replay_keys = {key.name.partition(".")[2] for key in KEYS if key.name.startswith("replay.")}
+    bad = set(replay) - replay_keys
+    if bad:
+        raise ConfigError(f"unknown replay config keys: {sorted(bad)}")
     return doc
 
 
-def _parse_algos(text: str) -> tuple[str, ...]:
-    names = tuple(a.strip().lower() for a in text.split(",") if a.strip())
-    for name in names:
-        if name not in (*ALGORITHMS, ORACLE):
-            raise ConfigError(f"unknown algorithm {name!r}")
-    if not names:
-        raise ConfigError("no algorithms given")
-    return names
+def resolve(command: str, args, cfg: dict) -> dict:
+    """Every key ``command`` reads, by name: its flag, else its config value, else its default.
+
+    A given value (a JSON null counts as not given) must have the key's type
+    and range, or ``ConfigError`` is raised.
+    """
+    values = {}
+    for key in KEYS:
+        if command not in key.defaults:
+            continue
+        section, _, name = key.name.rpartition(".")
+        value = getattr(args, key.flag[2:].replace("-", "_")) if key.flag else None
+        if value is None:
+            value = cfg.get(section, {}).get(name) if section else cfg.get(name)
+        values[key.name] = key.defaults[command] if value is None else key.check(value)
+    return values
 
 
-def _pick(args, cfg: dict, flag: str, key: str, default):
-    val = getattr(args, flag, None)
-    if val is not None:
-        return val
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return default
-
-
-def _out_dir(args, cfg: dict) -> Path:
-    out = _pick(args, cfg, "out_dir", "out_dir", None)
-    if out is None:
-        out = os.environ.get("HYBANDIT_OUT_DIR", ".")
-    path = Path(out)
+def _out_dir(values: dict) -> Path:
+    out = values["out_dir"]
+    path = Path(os.environ.get("HYBANDIT_OUT_DIR", ".") if out is None else out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _build_spec(args, cfg: dict, *, diagnostics_default: int = 0) -> ExperimentSpec:
-    setting = _pick(args, cfg, "setting", "setting", "custom")
-    if isinstance(setting, str) and setting.isdigit():
-        setting = int(setting)
-    algos = _pick(args, cfg, "algos", "algos", ("hylinucb", "linucb", "dislinucb"))
-    if isinstance(algos, str):
-        algos = _parse_algos(algos)
-    k_grid = _pick(args, cfg, "k_grid", "k_grid", ())
-    if isinstance(k_grid, str):
-        k_grid = tuple(int(k) for k in k_grid.split(",") if k.strip())
+def _build_spec(v: dict) -> ExperimentSpec:
+    if v["k_grid"] is not None and v["setting"] != 3:
+        raise ConfigError(
+            f"k_grid is read only with setting 3, got k_grid={v['k_grid']} "
+            f"with setting {v['setting']!r}"
+        )
+    if v["K"] is not None and v["setting"] == 3:
+        raise ConfigError(f"setting 3 takes its K values from k_grid, got K={v['K']}")
     try:
         spec = experiment_spec(
-            setting,
-            algos=tuple(algos),
-            n_envs=int(_pick(args, cfg, "n_envs", "n_envs", 5)),
-            n_trials=int(_pick(args, cfg, "n_trials", "n_trials", 5)),
-            scale=float(_pick(args, cfg, "scale", "scale", 1.0)),
-            k_grid=k_grid,
-            base_seed=int(_pick(args, cfg, "seed", "seed", 0)),
-            noise_std=float(_pick(args, cfg, "noise_std", "noise_std", 0.1)),
-            S=float(_pick(args, cfg, "S", "S", 1.0)),
-            delta=float(_pick(args, cfg, "delta", "delta", 0.1)),
-            diagnostics_every=int(
-                _pick(args, cfg, "diagnostics_every", "diagnostics_every", diagnostics_default)
-            ),
-            threads=int(_pick(args, cfg, "threads", "threads", 1)),
-            d1=_pick(args, cfg, "d1", "d1", None),
-            d2=_pick(args, cfg, "d2", "d2", None),
-            n_arms=_pick(args, cfg, "K", "K", None),
-            T=_pick(args, cfg, "T", "T", None),
+            v["setting"],
+            algos=_algo_names(v["algos"]),
+            n_envs=v["n_envs"],
+            n_trials=v["n_trials"],
+            scale=v["scale"],
+            k_grid=v["k_grid"] or (),
+            base_seed=v["seed"],
+            noise_std=v["noise_std"],
+            S=v["S"],
+            delta=v["delta"],
+            diagnostics_every=v["diagnostics_every"],
+            threads=v["threads"],
+            d1=v["d1"],
+            d2=v["d2"],
+            n_arms=v["K"],
+            T=v["T"],
         )
-    except ValueError as exc:
+    except ValueError as exc:  # a dimension neither given nor set by the setting
         raise ConfigError(str(exc)) from exc
     if spec.T < 2:
-        raise ConfigError(f"horizon T must be at least 2, got {spec.T}")
+        raise ConfigError(f"horizon T must be at least 2 after scaling, got {spec.T}")
     return spec
 
 
-def _dim(args, cfg: dict, key: str, shape_name: str) -> int:
-    val = _pick(args, cfg, key, key, None)
-    if val is None:
-        val = _setting_dim(args, cfg, shape_name)
-    return int(val)
-
-
 def cmd_gen_env(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        env_cfg = SyntheticEnvConfig(
-            d1=_dim(args, cfg, "d1", "d1"),
-            d2=_dim(args, cfg, "d2", "d2"),
-            n_arms=_dim(args, cfg, "K", "n_arms"),
-            T=_dim(args, cfg, "T", "T"),
-            noise_std=float(_pick(args, cfg, "noise_std", "noise_std", 0.1)),
-            S=float(_pick(args, cfg, "S", "S", 1.0)),
-            env_seed=int(_pick(args, cfg, "seed", "seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = args.out or str(_out_dir(args, cfg) / "environment.json")
+    v = resolve("gen-env", args, load_config(args.config))
+    shape = harness.SETTING_SHAPES.get(v["setting"], {})
+    dims = {}
+    for key, name in (("d1", "d1"), ("d2", "d2"), ("K", "n_arms"), ("T", "T")):
+        dims[name] = v[key] if v[key] is not None else shape.get(name)
+        if dims[name] is None:
+            raise ConfigError(f"{key} must be given (directly or via --setting)")
+    env_cfg = SyntheticEnvConfig(**dims, noise_std=v["noise_std"], S=v["S"], env_seed=v["seed"])
+    out = args.out or str(_out_dir(v) / "environment.json")
     dump_environment(env_cfg, out)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
-def _setting_dim(args, cfg: dict, name: str):
-    setting = _pick(args, cfg, "setting", "setting", None)
-    if isinstance(setting, str) and setting.isdigit():
-        setting = int(setting)
-    shape = harness.SETTING_SHAPES.get(setting)
-    if shape is None or shape.get(name) is None:
-        raise ConfigError(f"{name} must be given (directly or via --setting)")
-    return shape[name]
-
-
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    spec = _build_spec(args, cfg)
-    out = _out_dir(args, cfg)
-    stride = int(_pick(args, cfg, "trace_stride", "trace_stride", 1))
+    v = resolve("run", args, load_config(args.config))
+    spec = _build_spec(v)
+    out = _out_dir(v)
     print(
         f"running setting={spec.setting} algos={','.join(spec.algos)} "
         f"d1={spec.d1} d2={spec.d2} K={spec.n_arms} T={spec.T} "
@@ -218,7 +288,7 @@ def cmd_run(args) -> int:
         file=sys.stderr,
     )
     result = run_experiment(spec)
-    write_regret_csv(out / "regret.csv", result.traces, stride=stride)
+    write_regret_csv(out / "regret.csv", result.traces, stride=v["trace_stride"])
     write_summary_csv(out / "summary.csv", result.summary)
     if result.diagnostics:
         write_diagnostics_csv(out / "diagnostics.csv", result.diagnostics)
@@ -227,16 +297,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
-    spec = _build_spec(args, cfg, diagnostics_default=100)
+    v = resolve("diagnose", args, load_config(args.config))
+    spec = _build_spec(v)
     if spec.diagnostics_every < 1:
         raise ConfigError("diagnostics_every must be positive for diagnose")
-    out = _out_dir(args, cfg)
-    rho = _pick(args, cfg, "rho", "rho", None)
-    rho = float(rho) if rho is not None else unit_ball_diversity(spec.d1, spec.d2)
+    rho = v["rho"] if v["rho"] is not None else unit_ball_diversity(spec.d1, spec.d2)
     constants = theory_constants(
         rho, spec.d1, spec.d2, spec.n_arms, spec.T, spec.delta, spec.S
     )
+    out = _out_dir(v)
     result = run_experiment(spec)
     write_diagnostics_csv(out / "diagnostics.csv", result.diagnostics)
     write_regret_csv(out / "regret.csv", result.traces, stride=max(1, spec.T // 200))
@@ -286,57 +355,15 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _checked(key: str, value, expected: str, ok):
-    """``value`` if it is a finite JSON number (int or float, not bool) that passes ``ok``."""
-    finite = type(value) is int or (type(value) is float and math.isfinite(value))
-    if not (finite and ok(value)):
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    return value
-
-
 def cmd_replay(args) -> int:
-    cfg = load_config(args.config)
-    rcfg = cfg.get("replay", {})
-    log_path = args.log or rcfg.get("log")
-    if not log_path:
+    v = resolve("replay", args, load_config(args.config))
+    if not v["replay.log"]:
         raise ConfigError("replay needs --log or a 'replay.log' config entry")
-    train_n = _checked(
-        "train_n",
-        args.train_n if args.train_n is not None else rcfg.get("train_n", 1000),
-        "an integer >= 1",
-        lambda n: type(n) is int and n >= 1,
-    )
-    ridge = _checked(
-        "replay.ridge", rcfg.get("ridge", 1e-6), "a positive finite number", lambda r: r > 0
-    )
-    noise_std = _checked(
-        "noise_std",
-        args.noise_std if args.noise_std is not None else rcfg.get("noise_std", 0.01),
-        "a finite number >= 0",
-        lambda s: s >= 0,
-    )
-    algos = _pick(args, cfg, "algos", "algos", ("hylinucb", "linucb", "dislinucb"))
-    if isinstance(algos, str):
-        algos = _parse_algos(algos)
-    n_trials = _checked(
-        "n_trials",
-        _pick(args, cfg, "n_trials", "n_trials", 1),
-        "an integer >= 1",
-        lambda n: type(n) is int and n >= 1,
-    )
-    delta = _checked(
-        "delta", _pick(args, cfg, "delta", "delta", 0.1), "a number in (0, 1)", lambda d: 0 < d < 1
-    )
-    seed = _checked(
-        "seed", _pick(args, cfg, "seed", "seed", 0), "an integer", lambda n: type(n) is int
-    )
-    out = _out_dir(args, cfg)
+    train_n, horizon = v["replay.train_n"], v["T"]
+    out = _out_dir(v)
 
-    horizon = _pick(args, cfg, "T", "T", None)
-    if horizon is not None:
-        _checked("horizon T", horizon, "an integer >= 2", lambda n: type(n) is int and n >= 2)
-    records = list(parse_replay_log(log_path))
-    learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=float(ridge))
+    records = list(parse_replay_log(v["replay.log"]))
+    learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=v["replay.ridge"])
     if horizon is not None:
         if horizon > stream_ctx.T:
             raise ConfigError(
@@ -346,14 +373,17 @@ def cmd_replay(args) -> int:
         stream_ctx = ReplayContextStream(
             stream_ctx.records[:horizon], stream_ctx.user_scale, stream_ctx.arm_scale
         )
-    env = Environment(0, derive_seed(seed, 0), learned.params, stream_ctx, float(noise_std))
+    env = Environment(
+        0, derive_seed(v["seed"], 0), learned.params, stream_ctx, v["replay.noise_std"]
+    )
     print(
         f"replaying {stream_ctx.T} rounds (trained on {train_n} records, "
         f"fit residual {learned.fit_residual:.6g})",
         file=sys.stderr,
     )
-    runs = [(algo, trial) for algo in sorted(algos) for trial in range(n_trials)]
-    traces = [trace for trace, _ in harness.run_traces(env, runs, delta=delta)]
+    algos = sorted(_algo_names(v["algos"]))
+    runs = [(algo, trial) for algo in algos for trial in range(v["n_trials"])]
+    traces = [trace for trace, _ in harness.run_traces(env, runs, delta=v["delta"])]
     write_regret_csv(out / "replay_regret.csv", traces, stride=1)
     curves = harness.aggregate_traces(traces)
     best = np.min(np.stack([c.mean for c in curves.values()]), axis=0)
@@ -397,68 +427,29 @@ def cmd_summarize(args) -> int:
     t_max = max(rounds.values()) if rounds else 0
     for (algo, _, _), val in sorted(finals.items()):
         by_algo.setdefault(algo, []).append(val)
-    out = _out_dir(args, {})
+    out = _out_dir(resolve("summarize", args, {}))
     # a regret CSV does not carry K, d1 or d2, so those fields stay empty
     write_summary_csv(out / "summary.csv", harness.summary_rows(by_algo, t_max))
     print(f"wrote {out / 'summary.csv'}", file=sys.stderr)
     return 0
 
 
-# Every flag of the CLI.  Each command declares only the flags it reads, so a
-# flag it would ignore is a usage error; config keys stay shared instead, so
-# that one config file can serve several commands.
-_FLAGS = {
+# The flags that name a file rather than a key.  Each command declares only the
+# flags of the keys it reads, so a flag it would ignore is a usage error; config
+# keys stay shared instead, so that one config file can serve several commands.
+_FILE_FLAGS = {
     "--config": dict(help="JSON config file"),
-    "--setting": dict(help="named setting: 1, 2 or 3"),
-    "--algos": dict(help="comma-separated algorithm names"),
-    "--k-grid": dict(help="comma-separated K values (setting 3)"),
-    "--scale": dict(type=float, help="scale factor for T and trial counts"),
-    "--seed": dict(type=int, help="base seed"),
-    "--threads": dict(type=int, help="parallel trial workers"),
-    "--out-dir": dict(help="output directory"),
-    "--rho": dict(type=float, help="diversity constant override"),
-    "--d1": dict(type=int, help="shared feature dimension"),
-    "--d2": dict(type=int, help="arm feature dimension"),
-    "--K": dict(type=int, help="number of arms"),
-    "--T": dict(type=int, help="horizon"),
-    "--n-envs": dict(type=int, help="number of environments"),
-    "--n-trials": dict(type=int, help="trials per environment"),
-    "--noise-std": dict(type=float, help="reward noise std"),
-    "--delta": dict(type=float, help="failure probability"),
-    "--diagnostics-every": dict(type=int, help="diagnostics sampling stride in rounds"),
-    "--trace-stride": dict(type=int, help="regret CSV thinning stride"),
     "--out": dict(help="output JSON path"),
-    "--log": dict(help="replay log path (line-delimited JSON)"),
-    "--train-n": dict(type=int, help="training prefix size"),
     "--regret": dict(required=True, help="regret CSV to summarize"),
 }
 
-# The flags of the experiment spec (see ``_build_spec``).
-_SPEC_FLAGS = (
-    "--config", "--setting", "--algos", "--k-grid", "--scale", "--seed", "--threads",
-    "--out-dir", "--d1", "--d2", "--K", "--T", "--n-envs", "--n-trials", "--noise-std",
-    "--delta", "--diagnostics-every",
-)
-
-# (name, help, handler, flags)
+# (name, help, handler, file flags)
 _COMMANDS = (
-    (
-        "gen-env",
-        "dump one synthetic environment to JSON",
-        cmd_gen_env,
-        ("--config", "--setting", "--d1", "--d2", "--K", "--T", "--noise-std", "--seed",
-         "--out-dir", "--out"),
-    ),
-    ("run", "run a regret experiment and write CSVs", cmd_run, (*_SPEC_FLAGS, "--trace-stride")),
-    ("diagnose", "run with spectral diagnostics and report", cmd_diagnose, (*_SPEC_FLAGS, "--rho")),
-    (
-        "replay",
-        "semi-synthetic run from a replay log",
-        cmd_replay,
-        ("--config", "--log", "--train-n", "--T", "--algos", "--n-trials", "--noise-std",
-         "--delta", "--seed", "--out-dir"),
-    ),
-    ("summarize", "summarize a regret CSV", cmd_summarize, ("--regret", "--out-dir")),
+    ("gen-env", "dump one synthetic environment to JSON", cmd_gen_env, ("--config", "--out")),
+    ("run", "run a regret experiment and write CSVs", cmd_run, ("--config",)),
+    ("diagnose", "run with spectral diagnostics and report", cmd_diagnose, ("--config",)),
+    ("replay", "semi-synthetic run from a replay log", cmd_replay, ("--config",)),
+    ("summarize", "summarize a regret CSV", cmd_summarize, ("--regret",)),
 )
 
 
@@ -468,10 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid-reward linear contextual bandit simulations and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, flags in _COMMANDS:
+    for name, help_text, func, file_flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        for flag in file_flags:
+            p.add_argument(flag, **_FILE_FLAGS[flag])
+        for key in KEYS:
+            if key.flag and name in key.defaults:
+                p.add_argument(key.flag, type=_TYPES[key.kind][1], help=key.help)
         p.set_defaults(func=func)
     return parser
 

@@ -113,8 +113,8 @@ def dump_environment(cfg: SyntheticEnvConfig, path) -> None:
         "d2": cfg.d2,
         "K": cfg.n_arms,
         "T": cfg.T,
-        "S": cfg.S,
-        "noise_std": cfg.noise_std,
+        "S": float(cfg.S),
+        "noise_std": float(cfg.noise_std),
         "env_seed": cfg.env_seed,
         "theta": params.theta.tolist(),
         "betas": [b.tolist() for b in params.betas],

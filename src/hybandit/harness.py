@@ -84,6 +84,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {algo!r}; expected one of {VALID_ALGOS}")
         if min(self.d1, self.d2, self.n_arms, self.T, self.n_envs, self.n_trials) < 1:
             raise ValueError("dimensions, horizon and trial counts must be positive")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 def experiment_spec(

@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SymPosDef",
-    "SparseHybridVector",
     "BlockDesign",
     "sym_eigenvalues",
     "hermitian_dilation",
@@ -94,35 +93,6 @@ class SymPosDef:
         return max(0.0, float(v @ self.inv_entries @ v))
 
 
-class SparseHybridVector:
-    """One arm's feature pair viewed as a sparse (d1 + d2*K)-vector.
-
-    ``x`` occupies the first d1 coordinates and ``z`` the block of arm
-    ``arm`` (0-based); all other coordinates are zero.
-    """
-
-    __slots__ = ("arm", "x", "z")
-
-    def __init__(self, arm: int, x: np.ndarray, z: np.ndarray):
-        self.arm = int(arm)
-        self.x = np.asarray(x, dtype=float)
-        self.z = np.asarray(z, dtype=float)
-        if self.x.ndim != 1 or self.z.ndim != 1:
-            raise ValueError("x and z must be one-dimensional")
-        if self.arm < 0:
-            raise ValueError(f"arm index must be nonnegative, got {arm}")
-
-    def dense(self, n_arms: int) -> np.ndarray:
-        """Materialize the full (d1 + d2 * n_arms)-dimensional vector."""
-        if self.arm >= n_arms:
-            raise ValueError(f"arm {self.arm} out of range for {n_arms} arms")
-        d1, d2 = self.x.shape[0], self.z.shape[0]
-        out = np.zeros(d1 + d2 * n_arms)
-        out[:d1] = self.x
-        out[d1 + self.arm * d2 : d1 + (self.arm + 1) * d2] = self.z
-        return out
-
-
 class BlockDesign:
     """Regularized design matrix of the hybrid problem, held in block form.
 
@@ -172,10 +142,6 @@ class BlockDesign:
         self.C = np.zeros((n_arms, d1, d2))
         self.F = np.eye(d1) / self.ridge
         self.t = 0
-
-    @property
-    def dim(self) -> int:
-        return self.d1 + self.d2 * self.n_arms
 
     def block_update(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
         """Add the rank-one term of one observation: V += x x^T, W_arm += z z^T, B_arm += x z^T."""
@@ -299,18 +265,6 @@ class BlockDesign:
         theta = self.F @ (u_shared - np.einsum("kab,kb->a", self.C, u_arms))
         means = w @ theta + np.einsum("ka,ka->k", g, u_arms)
         return means, quads
-
-    def assemble_dense(self) -> np.ndarray:
-        """Materialize the full (d1 + d2*K)^2 matrix (dense test oracles only)."""
-        n = self.dim
-        m = np.zeros((n, n))
-        m[: self.d1, : self.d1] = self.V
-        for i in range(self.n_arms):
-            sl = slice(self.d1 + i * self.d2, self.d1 + (i + 1) * self.d2)
-            m[: self.d1, sl] = self.B[i]
-            m[sl, : self.d1] = self.B[i].T
-            m[sl, sl] = self.W[i]
-        return m
 
     def sandwich_spectrum(self) -> tuple[float, float]:
         """Extreme eigenvalues of ``U^{-1/2} M U^{-1/2}`` with U = blockdiag(V, W_1..W_K).

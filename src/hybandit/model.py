@@ -1,9 +1,10 @@
-"""Problem-domain types: hybrid reward parameters, the sparse embedding, regret.
+"""Problem-domain types: hybrid reward parameters, their flattening, regret.
 
 A hybrid reward instance has one shared parameter vector (length d1) plus one
 arm-specific vector per arm (length d2).  Embedding an arm's feature pair into
 a (d1 + d2*K)-vector reduces the hybrid problem to an ordinary shared linear
-model over the flattened parameters, preserving mean rewards exactly.
+model over the flattened parameters (:func:`flatten`), preserving mean rewards
+exactly.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import SparseHybridVector
 
 _NORM_TOL = 1e-9
 
@@ -72,18 +71,6 @@ class ContextRound:
 
     def arm(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.xs[i], self.zs[i]
-
-
-def embed(arm: int, x: np.ndarray, z: np.ndarray, n_arms: int) -> SparseHybridVector:
-    """Place (x, z) of ``arm`` (0-based) into its sparse embedded form.
-
-    The dense view keeps x in the first d1 coordinates and z in the arm's own
-    d2-slot, so inner products with flattened parameters reproduce the hybrid
-    mean reward.
-    """
-    if not 0 <= arm < n_arms:
-        raise ValueError(f"arm {arm} out of range for {n_arms} arms")
-    return SparseHybridVector(arm, x, z)
 
 
 def flatten(params: HybridParams) -> np.ndarray:

@@ -15,6 +15,60 @@ def dense_embed(arm: int, x: np.ndarray, z: np.ndarray, n_arms: int) -> np.ndarr
     return v
 
 
+class SparseHybridVector:
+    """One arm's feature pair viewed as a sparse (d1 + d2*K)-vector.
+
+    ``x`` occupies the first d1 coordinates and ``z`` the block of arm
+    ``arm`` (0-based); all other coordinates are zero.
+    """
+
+    __slots__ = ("arm", "x", "z")
+
+    def __init__(self, arm: int, x: np.ndarray, z: np.ndarray):
+        self.arm = int(arm)
+        self.x = np.asarray(x, dtype=float)
+        self.z = np.asarray(z, dtype=float)
+        if self.x.ndim != 1 or self.z.ndim != 1:
+            raise ValueError("x and z must be one-dimensional")
+        if self.arm < 0:
+            raise ValueError(f"arm index must be nonnegative, got {arm}")
+
+    def dense(self, n_arms: int) -> np.ndarray:
+        """Materialize the full (d1 + d2 * n_arms)-dimensional vector."""
+        if self.arm >= n_arms:
+            raise ValueError(f"arm {self.arm} out of range for {n_arms} arms")
+        d1, d2 = self.x.shape[0], self.z.shape[0]
+        out = np.zeros(d1 + d2 * n_arms)
+        out[:d1] = self.x
+        out[d1 + self.arm * d2 : d1 + (self.arm + 1) * d2] = self.z
+        return out
+
+
+def embed(arm: int, x: np.ndarray, z: np.ndarray, n_arms: int) -> SparseHybridVector:
+    """Place (x, z) of ``arm`` (0-based) into its sparse embedded form.
+
+    The dense view keeps x in the first d1 coordinates and z in the arm's own
+    d2-slot, so inner products with flattened parameters reproduce the hybrid
+    mean reward.
+    """
+    if not 0 <= arm < n_arms:
+        raise ValueError(f"arm {arm} out of range for {n_arms} arms")
+    return SparseHybridVector(arm, x, z)
+
+
+def assemble_dense(design) -> np.ndarray:
+    """The full (d1 + d2*K)^2 design matrix of a ``BlockDesign``, from its blocks."""
+    n = design.d1 + design.d2 * design.n_arms
+    m = np.zeros((n, n))
+    m[: design.d1, : design.d1] = design.V
+    for i in range(design.n_arms):
+        sl = slice(design.d1 + i * design.d2, design.d1 + (i + 1) * design.d2)
+        m[: design.d1, sl] = design.B[i]
+        m[sl, : design.d1] = design.B[i].T
+        m[sl, sl] = design.W[i]
+    return m
+
+
 class DenseSharedUCB:
     """Naive (d1 + d2*K)-dimensional reference for the shared-reduction policies.
 
@@ -56,11 +110,11 @@ def dense_ridge(rows: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
 def sandwich_spectrum_dense(design) -> tuple[float, float]:
     """Extreme eigenvalues of ``U^{-1/2} M U^{-1/2}`` from the dense design matrix.
 
-    M comes from ``assemble_dense``, U is its block-diagonal part
+    M comes from :func:`assemble_dense`, U is its block-diagonal part
     (V, W_1, ..., W_K), and U^{-1/2} is the symmetric inverse square root
     from a LAPACK eigendecomposition of U.
     """
-    m = design.assemble_dense()
+    m = assemble_dense(design)
     u = np.zeros_like(m)
     u[: design.d1, : design.d1] = m[: design.d1, : design.d1]
     for i in range(design.n_arms):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hybandit.cli import build_parser, main
+from hybandit.cli import KEYS, build_parser, main
 from hybandit.replay import write_replay_log
 
 from test_replay import synth_records
@@ -13,6 +13,10 @@ from test_replay import synth_records
 
 def run_cli(*args):
     return main(list(args))
+
+
+# a tiny custom problem for the checks that must fail before any run
+SMALL = ["--d1", "2", "--d2", "2", "--K", "2", "--T", "5", "--n-envs", "1", "--n-trials", "1"]
 
 
 class TestGenEnv:
@@ -58,6 +62,40 @@ class TestGenEnv:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"d1": "3"}, {"d1": True}, {"K": 2.5}, {"T": 1}, {"noise_std": "0.2"}, {"seed": "3"},
+         {"S": 0}, {"setting": "1"}],
+        ids=["d1_string", "d1_bool", "K_fraction", "T_one", "noise_std_string", "seed_string",
+             "S_zero", "setting_string"],
+    )
+    def test_bad_config_value_exits_2(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d1": 3, "d2": 2, "K": 2, "T": 5, **doc}))
+        out = tmp_path / "x.json"
+        assert run_cli("gen-env", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{next(iter(doc))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--noise-std", "-1"), ("--noise-std", "nan"), ("--d2", "0"), ("--T", "1")]
+    )
+    def test_bad_flag_value_exits_2(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        args = ["--d1", "3", "--d2", "2", "--K", "2", "--T", "5", flag, value]
+        assert run_cli("gen-env", *args, "--out", str(out)) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_config_numbers_match_float_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d1": 3, "d2": 2, "K": 2, "T": 5, "noise_std": 0, "S": 1}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("gen-env", "--config", str(cfg), "--out", str(a)) == 0
+        flags = ["--d1", "3", "--d2", "2", "--K", "2", "--T", "5", "--noise-std", "0.0"]
+        assert run_cli("gen-env", *flags, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestRun:
@@ -144,6 +182,54 @@ class TestRun:
         assert "--rho" in capsys.readouterr().err
         assert not (tmp_path / "regret.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [(["--setting", "1", "--scale", "0.002", "--threads", "0"], "threads"),
+         ([*SMALL, "--threads", "-3"], "threads"),
+         ([*SMALL, "--trace-stride", "0"], "trace_stride"),
+         ([*SMALL, "--noise-std", "-1"], "noise_std"),
+         ([*SMALL, "--noise-std", "nan"], "noise_std"),
+         ([*SMALL, "--delta", "2"], "delta"),
+         ([*SMALL, "--scale", "nan"], "scale"),
+         ([*SMALL, "--algos", "linucb,suplinucb"], "algos"),
+         ([*SMALL, "--setting", "4"], "setting"),
+         (["--setting", "3", "--k-grid", "3,x", "--T", "5"], "k_grid"),
+         (["--setting", "1", "--k-grid", "10,20", "--scale", "0.002"], "k_grid"),
+         ([*SMALL, "--k-grid", "3,4"], "k_grid"),
+         (["--setting", "3", "--K", "7", "--T", "5"], "K"),
+         (["--setting", "1", "--scale", "0.00001"], "T")],
+        ids=["threads_zero", "threads_negative", "trace_stride_zero", "noise_std_negative",
+             "noise_std_nan", "delta_two", "scale_nan", "algos_unknown", "setting_four",
+             "k_grid_not_integers", "k_grid_setting_1", "k_grid_custom", "K_with_setting_3",
+             "T_scaled_below_two"],
+    )
+    def test_bad_flag_value_exits_2_before_running(self, args, key, tmp_path, capsys):
+        assert run_cli("run", *args, "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "running" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n_envs": 1.7}, {"T": 5.6}, {"seed": "3"}, {"threads": True}, {"scale": "0.5"},
+         {"setting": "1"}, {"k_grid": "10,20"}, {"algos": ["linucb"]}],
+        ids=["n_envs_fraction", "T_fraction", "seed_string", "threads_bool", "scale_string",
+             "setting_string", "k_grid_string", "algos_array"],
+    )
+    def test_bad_config_value_exits_2_before_running(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        base = {"d1": 2, "d2": 2, "K": 2, "T": 5, "n_envs": 1, "n_trials": 1}
+        cfg.write_text(json.dumps({**base, **doc}))
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        assert f"{next(iter(doc))} must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_replay_entry_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replay": []}))
+        assert run_cli("run", "--config", str(cfg), *SMALL, "--out-dir", str(tmp_path)) == 2
+        assert "'replay' must be an object" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_produces_report_and_csv(self, tmp_path, capsys):
@@ -216,6 +302,20 @@ class TestDiagnose:
         assert exc.value.code == 2
         assert "--trace-stride" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [(["--rho", "-1"], "rho"), (["--rho", "nan"], "rho"), (["--rho", "2"], "rho"),
+         (["--diagnostics-every", "0"], "diagnostics_every"), (["--threads", "0"], "threads")],
+        ids=["rho_negative", "rho_nan", "rho_above_one", "diagnostics_every_zero",
+             "threads_zero"],
+    )
+    def test_bad_flag_value_exits_2_before_running(self, args, key, tmp_path, capsys):
+        assert run_cli("diagnose", *SMALL, *args, "--out-dir", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestReplay:
@@ -454,3 +554,27 @@ def test_readme_invocations_parse():
     parser = build_parser()
     for argv in invocations:
         parser.parse_args(argv)
+
+
+COMMANDS = ("gen-env", "run", "diagnose", "replay", "summarize")
+
+
+def test_readme_key_table_mirrors_keys():
+    """README's key table has one row per key: its flag, type and the commands that read it."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key | flag |"))
+    header = [c.strip() for c in lines[start].strip("|").split("|")]
+    assert header[4:] == list(COMMANDS)
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells
+    assert sorted(rows) == sorted(key.name for key in KEYS)
+    for key in KEYS:
+        _, flag, kind, _, *defaults = rows[key.name]
+        assert flag.strip("`") == (key.flag or "—"), key.name
+        assert kind == key.kind, key.name
+        assert [d != "—" for d in defaults] == [c in key.defaults for c in COMMANDS], key.name
+

@@ -29,6 +29,7 @@ from hybandit.policies import (
     SharedLinearUCB,
 )
 
+from oracles import assemble_dense
 from test_model import random_params
 
 
@@ -135,7 +136,7 @@ class TestConfidence:
             x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
             pol.update(i, x, z, float(rng.standard_normal()))
         delta = pol.phi_hat() - flatten(params)
-        dense = float(np.sqrt(delta @ pol.design.assemble_dense() @ delta))
+        dense = float(np.sqrt(delta @ assemble_dense(pol.design) @ delta))
         assert shared_confidence_residual(pol, params) == pytest.approx(dense, rel=1e-10)
 
     def test_disjoint_residual_matches_per_arm_loop(self, rng):

@@ -52,6 +52,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("custom", ("suplinucb",), 3, 2, 2, 10)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        # zero pool groups would run nothing and return no traces
+        with pytest.raises(ValueError, match="threads"):
+            experiment_spec("custom", d1=3, d2=2, n_arms=2, T=10, threads=threads)
+
 
 class TestRunTrial:
     def test_oracle_zero_regret(self):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from hybandit.diagnostics import PulledFeatureTracker, sample_diagnostics
-from hybandit.linalg import (
-    BlockDesign,
-    SparseHybridVector,
-    SymPosDef,
-    hermitian_dilation,
-    sym_eigenvalues,
-)
+from hybandit.linalg import BlockDesign, SymPosDef, hermitian_dilation, sym_eigenvalues
 from hybandit.policies import HYLINUCB, PolicyConfig, SharedLinearUCB
 
-from oracles import eigenvalues_by_char_poly, sandwich_spectrum_dense
+from oracles import (
+    SparseHybridVector,
+    assemble_dense,
+    eigenvalues_by_char_poly,
+    sandwich_spectrum_dense,
+)
 
 
 def random_design(rng, d1, d2, n_arms, ridge, n_updates, scale=1.0):
@@ -133,7 +132,7 @@ class TestBlockDesign:
             bd.block_update(u.arm, u.x, u.z)
             v = u.dense(n_arms)
             dense += np.outer(v, v)
-        assert np.max(np.abs(bd.assemble_dense() - dense)) < 1e-10
+        assert np.max(np.abs(assemble_dense(bd) - dense)) < 1e-10
 
     def test_solve_fresh_design_is_scaled_identity(self, rng):
         lam = 2.5
@@ -144,12 +143,12 @@ class TestBlockDesign:
     def test_solve_single_arm_matches_dense(self, rng):
         bd = random_design(rng, 3, 2, 1, 1.0, 40)
         u = SparseHybridVector(0, rng.standard_normal(3), rng.standard_normal(2))
-        ref = np.linalg.solve(bd.assemble_dense(), u.dense(1))
+        ref = np.linalg.solve(assemble_dense(bd), u.dense(1))
         assert np.max(np.abs(solve_dense_view(bd, u) - ref)) < 1e-10
 
     def test_solve_matches_dense_inverse_oracle(self, rng):
         bd = random_design(rng, 3, 2, 4, 1.0, 500)
-        m_inv = np.linalg.inv(bd.assemble_dense())
+        m_inv = np.linalg.inv(assemble_dense(bd))
         for _ in range(20):
             u = SparseHybridVector(
                 int(rng.integers(4)), rng.standard_normal(3), rng.standard_normal(2)
@@ -163,7 +162,7 @@ class TestBlockDesign:
         b0 = rng.standard_normal(4)
         barms = rng.standard_normal((5, 3))
         y0, yarms = bd.solve_blocks(b0, barms)
-        ref = np.linalg.solve(bd.assemble_dense(), np.concatenate([b0, barms.ravel()]))
+        ref = np.linalg.solve(assemble_dense(bd), np.concatenate([b0, barms.ravel()]))
         assert np.max(np.abs(np.concatenate([y0, yarms.ravel()]) - ref)) < 1e-9
 
     def test_quad_form_fresh_unit_vector(self):
@@ -179,7 +178,7 @@ class TestBlockDesign:
 
     def test_quad_form_matches_solve_and_dense(self, rng):
         bd = random_design(rng, 3, 2, 4, 1.0, 150)
-        m_inv = np.linalg.inv(bd.assemble_dense())
+        m_inv = np.linalg.inv(assemble_dense(bd))
         for _ in range(10):
             u = SparseHybridVector(
                 int(rng.integers(4)), rng.standard_normal(3), rng.standard_normal(2)
@@ -428,7 +427,7 @@ class TestSandwichSpectrum:
         smin, smax = bd.sandwich_spectrum()
         # spectrum of I + A with A a dilation: symmetric about 1
         assert smin + smax == pytest.approx(2.0, abs=1e-8)
-        m = bd.assemble_dense()
+        m = assemble_dense(bd)
         u = np.zeros_like(m)
         u[:3, :3] = bd.V
         for i in range(3):

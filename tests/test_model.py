@@ -4,7 +4,6 @@ import pytest
 from hybandit.model import (
     ContextRound,
     HybridParams,
-    embed,
     flatten,
     instantaneous_regret,
     mean_reward,
@@ -12,7 +11,7 @@ from hybandit.model import (
     unflatten,
 )
 
-from oracles import brute_force_best_arm, dense_embed
+from oracles import brute_force_best_arm, dense_embed, embed
 
 
 def random_params(rng, d1, d2, n_arms, S=1.0):
