@@ -271,7 +271,8 @@ def cmd_gen_env(args) -> int:
         if dims[name] is None:
             raise ConfigError(f"{key} must be given (directly or via --setting)")
     env_cfg = SyntheticEnvConfig(**dims, noise_std=v["noise_std"], S=v["S"], env_seed=v["seed"])
-    out = args.out or str(_out_dir(v) / "environment.json")
+    out = Path(args.out) if args.out else _out_dir(v) / "environment.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     dump_environment(env_cfg, out)
     print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -363,6 +364,8 @@ def cmd_replay(args) -> int:
     out = _out_dir(v)
 
     records = list(parse_replay_log(v["replay.log"]))
+    if len(records) <= train_n:
+        raise ConfigError(f"log has {len(records)} records, need more than train_n={train_n}")
     learned, stream_ctx = semi_synthetic_environment(records, train_n, ridge=v["replay.ridge"])
     if horizon is not None:
         if horizon > stream_ctx.T:

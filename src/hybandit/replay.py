@@ -1,6 +1,6 @@
 """Replay-log ingestion and semi-synthetic bandit environments.
 
-A replay log is UTF-8, line-delimited JSON, one record per line:
+A replay log is UTF-8, line-delimited strict JSON, one record per line:
 
     {"user": [...], "arms": [[...], ...], "displayed": int (1-based), "click": 0|1}
 
@@ -51,22 +51,48 @@ class ReplayRecord:
             raise ValueError(f"click must be 0 or 1, got {self.click}")
 
 
+def _decode_rejected(lineno: int, line: str):
+    """Decode a line that orjson rejected with :mod:`json`, only to word the error.
+
+    A byte that is not UTF-8 (read as a lone surrogate) is named.  A line
+    ``json`` decodes comes back for the record checks, which reject what
+    orjson refused: ``NaN``, ``Infinity`` and float literals that overflow a
+    double (``inf`` to ``json``) are not finite, and an integer beyond a
+    double is a bad feature array.  Any other line is ``invalid JSON``.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ReplayLogError(lineno, f"not valid UTF-8 (byte 0x{byte:02x})") from None
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ReplayLogError(lineno, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ReplayLogError(lineno, "invalid JSON (nested too deeply)") from None
+
+
 def parse_replay_log(path):
     """Stream :class:`ReplayRecord` objects from a log file.
 
-    Validates shapes against the first record and reports malformed lines by
-    number via :class:`ReplayLogError`.
+    Each line is decoded with orjson, which reads every double bit for bit as
+    :func:`json.loads` does.  Validates shapes against the first record and
+    reports malformed lines by number via :class:`ReplayLogError`.
     """
+    import orjson  # loaded only when a log is parsed
+
     shape: tuple[int, int, int] | None = None  # (du, K, dv)
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps a byte that is not UTF-8, so it fails on its own line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReplayLogError(lineno, f"invalid JSON ({exc.msg})") from exc
+                doc = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                doc = _decode_rejected(lineno, line)
             if not isinstance(doc, dict):
                 raise ReplayLogError(lineno, "record must be a JSON object")
             unknown = set(doc) - {"user", "arms", "displayed", "click"}
@@ -75,7 +101,7 @@ def parse_replay_log(path):
             try:
                 user = np.asarray(doc["user"], dtype=float)
                 arms = np.asarray(doc["arms"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ReplayLogError(lineno, f"bad feature arrays: {exc}") from exc
             if "displayed" not in doc or "click" not in doc:
                 raise ReplayLogError(lineno, "missing 'displayed' or 'click'")

@@ -40,6 +40,12 @@ class TestGenEnv:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_parent_directories_created(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "env.json"
+        assert run_cli("gen-env", "--setting", "1", "--seed", "5", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["K"] == 25
+        assert f"wrote {out}" in capsys.readouterr().err
+
     def test_invalid_d2_exits_2(self, tmp_path, capsys):
         rc = run_cli(
             "gen-env", "--d1", "4", "--d2", "0", "--K", "5", "--T", "10",
@@ -372,10 +378,13 @@ class TestReplay:
         assert "got 1" in capsys.readouterr().err
         assert not (tmp_path / "replay_regret.csv").exists()
 
-    def test_train_n_too_large_exits_1(self, tmp_path, capsys):
+    def test_train_n_too_large_exits_2(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_replay_log(log, synth_records(6, 50, n_arms=3))
-        assert run_cli("replay", "--log", str(log), "--train-n", "50", "--out-dir", str(tmp_path)) == 1
+        assert run_cli("replay", "--log", str(log), "--train-n", "50", "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "train_n=50" in err and "50 records" in err
+        assert not (tmp_path / "replay_regret.csv").exists()
 
     def test_non_finite_log_exits_2(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
@@ -388,6 +397,20 @@ class TestReplay:
         rc = run_cli("replay", "--log", str(log), "--train-n", "20", "--out-dir", str(tmp_path))
         assert rc == 2
         assert "line 5" in capsys.readouterr().err
+        assert not (tmp_path / "replay_regret.csv").exists()
+
+    def test_overflowing_literal_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_replay_log(log, synth_records(8, 40, n_arms=3))
+        lines = log.read_text().splitlines()
+        doc = json.loads(lines[6])
+        doc["arms"][1][0] = "x"
+        lines[6] = json.dumps(doc).replace('"x"', "1e400")
+        log.write_text("\n".join(lines) + "\n")
+        rc = run_cli("replay", "--log", str(log), "--train-n", "20", "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 7" in err and "finite" in err
         assert not (tmp_path / "replay_regret.csv").exists()
 
     def test_missing_log_exits_2(self, tmp_path):

@@ -132,6 +132,70 @@ class TestParseWriteRoundTrip:
         with pytest.raises(ReplayLogError, match="line 2.*finite"):
             list(parse_replay_log(path))
 
+    def test_doubles_parse_bit_for_bit_as_json(self, tmp_path):
+        rng = np.random.default_rng(13)
+        drawn = rng.integers(0, 2**64, size=1024, dtype=np.uint64, endpoint=False).view(float)
+        special = [5e-324, -5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+        values = np.concatenate([special, drawn[np.isfinite(drawn)]])
+        values = values[: len(values) // 16 * 16].reshape(-1, 16)
+        # shortest repr, and digit counts that fall short of or go past a double's
+        formats = (repr, "{:.17g}".format, "{:.25g}".format, "{:.12e}".format)
+        lines = []
+        for i, row in enumerate(values):
+            text = [formats[(i + j) % len(formats)](float(v)) for j, v in enumerate(row)]
+            user = ",".join(text[:4])
+            arms = ",".join("[" + ",".join(text[k : k + 4]) + "]" for k in range(4, 16, 4))
+            lines.append(f'{{"user":[{user}],"arms":[{arms}],"displayed":1,"click":0}}')
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records = list(parse_replay_log(path))
+        assert len(records) == len(lines)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.int64)
+
+        for rec, line in zip(records, lines):
+            doc = json.loads(line)
+            assert np.array_equal(bits(rec.user), bits(doc["user"]))
+            assert np.array_equal(bits(rec.arms), bits(doc["arms"]))
+
+    def test_non_utf8_line_named(self, tmp_path):
+        records = synth_records(2, 3)
+        path = tmp_path / "log.jsonl"
+        write_replay_log(path, records)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"\xff" + lines[1][20:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ReplayLogError, match=r"line 2: not valid UTF-8 \(byte 0xff\)"):
+            list(parse_replay_log(path))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("[" * 100_000, "nested too deeply"),
+         ('{"user": [1%s], "arms": [[0.2]], "displayed": 1, "click": 0}' % ("0" * 400),
+          "bad feature arrays")],
+        ids=["deep_nesting", "integer_beyond_double"],
+    )
+    def test_deep_nesting_and_huge_integer_name_line(self, bad, message, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_replay_log(path, synth_records(2, 1))
+        with open(path, "a") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(ReplayLogError, match=f"line 2: .*{message}"):
+            list(parse_replay_log(path))
+
+    def test_lines_split_numbered_and_skipped(self, tmp_path):
+        """Universal newlines: CRLF and CR end lines too, and blank lines still count."""
+        good = json.dumps({"user": [0.5], "arms": [[0.25], [1.0]], "displayed": 2, "click": 1})
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(f"{good}\r\n{good}\r\n\r\n  \r{good}\n{{\n".encode())
+        with pytest.raises(ReplayLogError, match="line 6: invalid JSON"):
+            list(parse_replay_log(path))
+        path.write_bytes(path.read_bytes()[:-2])
+        records = list(parse_replay_log(path))
+        assert len(records) == 3
+        assert all(r.displayed == 1 and r.click == 1 for r in records)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         doc = {"user": [0.1], "arms": [[0.2]], "displayed": 1, "click": 0, "extra": 1}

@@ -1,4 +1,5 @@
-"""Start-up cost: one BLAS thread per process, and no process pool until one runs.
+"""Start-up cost: one BLAS thread per process, no process pool until one runs, and no
+log decoder until a log is parsed.
 
 Each check runs in a fresh interpreter, since the test process has long since
 imported numpy and may have loaded the pool modules itself.
@@ -41,10 +42,10 @@ def test_user_thread_setting_left_alone():
     assert thread_vars_after_import(OMP_NUM_THREADS="3") == "[None, '3', None]"
 
 
-def test_cli_import_loads_no_pool_modules():
+def test_cli_import_loads_no_pool_or_orjson_modules():
     code = (
-        "import sys, hybandit.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        "import sys, hybandit.cli; print([m for m in "
+        "('concurrent.futures.process', 'multiprocessing', 'orjson') if m in sys.modules])"
     )
     assert fresh_python(["-c", code]).strip() == "[]"
 
