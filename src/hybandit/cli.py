@@ -302,6 +302,9 @@ def cmd_diagnose(args) -> int:
     spec = _build_spec(v)
     if spec.diagnostics_every < 1:
         raise ConfigError("diagnostics_every must be positive for diagnose")
+    if spec.T // spec.diagnostics_every < 2:
+        raise ConfigError(f"diagnostics_every must be at most T/2 = {spec.T / 2:g} for diagnose, "
+                          f"which needs two samples per run, got {spec.diagnostics_every}")
     rho = v["rho"] if v["rho"] is not None else unit_ball_diversity(spec.d1, spec.d2)
     constants = theory_constants(
         rho, spec.d1, spec.d2, spec.n_arms, spec.T, spec.delta, spec.S

@@ -116,10 +116,10 @@ def shared_confidence_residual(policy: SharedLinearUCB, params: HybridParams) ->
 
 
 def disjoint_confidence_residual(policy: DisjointLinearUCB, params: HybridParams) -> float:
-    """Worst per-arm design-weighted estimation error of the disjoint models."""
+    """Worst per-arm design-weighted error of the disjoint models' [theta*, beta*_i] estimates."""
     targets = np.hstack([np.broadcast_to(params.theta, (params.n_arms, params.d1)), params.betas])
-    d = policy.phi - targets
-    return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, policy.M, d)))))
+    d = policy.estimates()[1] - targets
+    return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, policy.design.W, d)))))
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,10 @@ def check_confidence(policy, params: HybridParams, gamma: float | None = None) -
     """Check the estimator against its confidence width (synthetic runs only)."""
     if gamma is None:
         gamma = policy.config.gamma
-    if isinstance(policy, SharedLinearUCB):
-        residual = shared_confidence_residual(policy, params)
-    elif isinstance(policy, DisjointLinearUCB):
+    if isinstance(policy, DisjointLinearUCB):
         residual = disjoint_confidence_residual(policy, params)
+    elif isinstance(policy, SharedLinearUCB):
+        residual = shared_confidence_residual(policy, params)
     else:
         raise TypeError(f"no confidence residual for {type(policy).__name__}")
     return ConfidenceReport(residual, float(gamma), residual <= gamma)
@@ -295,18 +295,19 @@ def sample_diagnostics(
     ``eigvalsh`` over the (K, d2, d2) stack and sigma_max(B_i) from one
     ``svd`` over the (K, d1, d2) stack.  The sandwich spectrum comes in
     closed form from the shared policy's own design
-    (:meth:`BlockDesign.sandwich_spectrum`; NaN for other policies); the
+    (:meth:`BlockDesign.sandwich_spectrum`; NaN for DisLinUCB, whose design
+    has no shared block, and for the oracle); the
     confidence residual from whichever estimator the policy maintains (NaN
     for the oracle, or when true parameters are unavailable).
     """
     lam_v = float(np.linalg.eigvalsh(tracker.V)[0])
     lam_w = np.linalg.eigvalsh(tracker.W)[:, 0]
     sig_b = np.linalg.svd(tracker.B, compute_uv=False)[:, 0]
-    if isinstance(policy, SharedLinearUCB):
+    if isinstance(policy, SharedLinearUCB) and not isinstance(policy, DisjointLinearUCB):
         smin, smax = policy.design.sandwich_spectrum()
     else:
         smin, smax = math.nan, math.nan
-    if params is not None and isinstance(policy, (SharedLinearUCB, DisjointLinearUCB)):
+    if params is not None and isinstance(policy, SharedLinearUCB):
         report = check_confidence(policy, params)
         residual, gamma = report.residual, report.gamma
     else:

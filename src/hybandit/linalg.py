@@ -124,11 +124,15 @@ class BlockDesign:
     rebuilds ``W_inv``, ``C`` and ``F`` from ``V``, ``W`` and ``B`` to bound
     floating-point drift.  ``V`` keeps its entries only; nothing needs its
     inverse.
+
+    With ``d1 = 0`` there is no shared block: ``V``, ``B``, ``C`` and ``F``
+    are empty, M = blockdiag(W_1, ..., W_K), and the design is the disjoint
+    model of the same paper's Algorithm 1, one ridge model per arm.
     """
 
     def __init__(self, d1: int, d2: int, n_arms: int, ridge: float):
-        if min(d1, d2, n_arms) < 1:
-            raise ValueError("d1, d2 and n_arms must be positive")
+        if d1 < 0 or min(d2, n_arms) < 1:
+            raise ValueError("d1 must be nonnegative, d2 and n_arms positive")
         if ridge <= 0:
             raise ValueError(f"ridge weight must be positive, got {ridge}")
         self.d1 = int(d1)
@@ -158,14 +162,15 @@ class BlockDesign:
             raise ValueError("features must be finite")
         g = self.W_inv[a] @ z
         s = 1.0 + float(z @ g)
-        r = x - self.C[a] @ z
-        fr = self.F @ r
-        self.F -= np.outer(fr, fr) / (s + float(r @ fr))
         self.W_inv[a] -= np.outer(g, g) / s
-        self.V += np.outer(x, x)
         self.W[a] += np.outer(z, z)
-        self.B[a] += np.outer(x, z)
-        self.C[a] = self.B[a] @ self.W_inv[a]
+        if self.d1:  # with no shared block, V, B, C and F are empty
+            r = x - self.C[a] @ z
+            fr = self.F @ r
+            self.F -= np.outer(fr, fr) / (s + float(r @ fr))
+            self.V += np.outer(x, x)
+            self.B[a] += np.outer(x, z)
+            self.C[a] = self.B[a] @ self.W_inv[a]
         self.t += 1
         if self.t % INVERSE_REFRESH_EVERY == 0:
             self.refresh()
@@ -206,25 +211,13 @@ class BlockDesign:
         y_arms = np.einsum("kab,kb->ka", self.W_inv, b_arms) - np.einsum("kab,a->kb", self.C, y0)
         return y0, y_arms
 
-    def _arm_terms(
-        self, xs: np.ndarray, zs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-arm ``w_i = x_i - C_i z_i``, ``g_i = W_i^{-1} z_i`` and ``u_i^T M^{-1} u_i``."""
-        xs = np.asarray(xs, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        if xs.shape != (self.n_arms, self.d1) or zs.shape != (self.n_arms, self.d2):
-            raise ValueError("expected per-arm feature stacks of shapes (K, d1) and (K, d2)")
-        w = xs - np.einsum("kab,kb->ka", self.C, zs)
-        g = np.einsum("kab,kb->ka", self.W_inv, zs)
-        quads = np.einsum("ka,ka->k", w @ self.F, w) + np.einsum("ka,ka->k", g, zs)
-        return w, g, np.maximum(quads, 0.0)
-
     def quad_forms_per_arm(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Quadratic forms ``u_i^T M^{-1} u_i`` for all arms at once.
 
         Row i of ``xs``/``zs`` is scored in arm i's own slot.
         """
-        return self._arm_terms(xs, zs)[2]
+        zeros = np.zeros(self.d1), np.zeros((self.n_arms, self.d2))
+        return self.means_and_quad_forms(xs, zs, *zeros)[1]
 
     def means_and_quad_forms(
         self,
@@ -253,18 +246,28 @@ class BlockDesign:
             quad_i = w_i^T F w_i + g_i . z_i.
 
         So one pass costs three K-sized contractions (``C z``, ``W^{-1} z``
-        and ``sum_j C_j u_j``) instead of the six of a block solve followed
-        by :meth:`quad_forms_per_arm`.  The mean differs from the one built
-        on :meth:`solve_blocks` in the last bits only.
+        and ``sum_j C_j u_j``) instead of the six of a block solve.  The mean
+        differs from the one built on :meth:`solve_blocks` in the last bits
+        only.  With no shared block (d1 = 0) the ``w`` terms vanish, leaving
+        the disjoint model's ``g_i . u_i`` and ``g_i . z_i``.
         """
         u_shared = np.asarray(u_shared, dtype=float)
         u_arms = np.asarray(u_arms, dtype=float)
         if u_shared.shape != (self.d1,) or u_arms.shape != (self.n_arms, self.d2):
             raise ValueError("right-hand side shape does not match design blocks")
-        w, g, quads = self._arm_terms(xs, zs)
-        theta = self.F @ (u_shared - np.einsum("kab,kb->a", self.C, u_arms))
-        means = w @ theta + np.einsum("ka,ka->k", g, u_arms)
-        return means, quads
+        xs = np.asarray(xs, dtype=float)
+        zs = np.asarray(zs, dtype=float)
+        if xs.shape != (self.n_arms, self.d1) or zs.shape != (self.n_arms, self.d2):
+            raise ValueError("expected per-arm feature stacks of shapes (K, d1) and (K, d2)")
+        g = (zs[:, None, :] @ self.W_inv)[:, 0, :]  # z_i^T W_i^-1 = (W_i^-1 z_i)^T
+        means = np.einsum("ka,ka->k", g, u_arms)
+        quads = np.einsum("ka,ka->k", g, zs)
+        if self.d1:  # with no shared block, C and F are empty
+            w = xs - np.einsum("kab,kb->ka", self.C, zs)
+            theta = self.F @ (u_shared - np.einsum("kab,kb->a", self.C, u_arms))
+            means += w @ theta
+            quads += np.einsum("ka,ka->k", w @ self.F, w)
+        return means, np.maximum(quads, 0.0)
 
     def sandwich_spectrum(self) -> tuple[float, float]:
         """Extreme eigenvalues of ``U^{-1/2} M U^{-1/2}`` with U = blockdiag(V, W_1..W_K).

@@ -5,7 +5,9 @@ features; they differ only in the regularizer and exploration coefficient
 (LinUCB: lambda = 1; HyLinUCB: lambda = K with a coefficient that scales with
 the intrinsic d1 + d2 dimension instead of d1 + d2*K).  DisLinUCB runs one
 independent (d1 + d2)-dimensional ridge-UCB model per arm on the concatenated
-features.
+features.  All three keep one :class:`BlockDesign` and score and update through
+it: the shared policies put x in the shared slot and z in the arm slot, while
+DisLinUCB puts [x, z] in the arm slot and leaves the shared block empty.
 
 All policies are deterministic: score ties break toward the lowest arm index.
 States are single-writer; one instance per trial.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INVERSE_REFRESH_EVERY, BlockDesign, symmetrize
+from .linalg import BlockDesign
 from .model import ContextRound, HybridParams, mean_rewards
 
 LINUCB = "linucb"
@@ -129,29 +131,38 @@ class SharedLinearUCB:
     and confidence width off the same Schur intermediates without forming
     the estimate, so it costs polynomially in (d1, d2) and linearly in K.
     :meth:`estimates` solves for the estimate itself, for diagnostics.
+    :meth:`place` decides which features go in the shared slot and which in
+    the arm slot; the design's block sizes follow from it.
     """
 
+    algorithms = SHARED_ALGORITHMS
+
     def __init__(self, config: PolicyConfig):
-        if config.algo not in SHARED_ALGORITHMS:
-            raise ValueError(f"{config.algo!r} is not a shared-reduction algorithm")
+        if config.algo not in self.algorithms:
+            raise ValueError(f"{config.algo!r} is not a {type(self).__name__} algorithm")
         self.config = config
-        self.design = BlockDesign(config.d1, config.d2, config.n_arms, config.lam)
-        self.u_shared = np.zeros(config.d1)
-        self.u_arms = np.zeros((config.n_arms, config.d2))
+        x, z = self.place(np.zeros(config.d1), np.zeros(config.d2))
+        self.design = BlockDesign(x.size, z.size, config.n_arms, config.lam)
+        self.u_shared = np.zeros(x.size)
+        self.u_arms = np.zeros((config.n_arms, z.size))
+
+    @staticmethod
+    def place(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Features of the shared slot and of the arm slot: x and z."""
+        return x, z
 
     def estimates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current ridge estimates (theta part, per-arm beta stack)."""
+        """Current ridge estimates (shared part, per-arm stack)."""
         return self.design.solve_blocks(self.u_shared, self.u_arms)
 
     def phi_hat(self) -> np.ndarray:
-        """Estimate as one flat (d1 + d2*K)-vector."""
+        """Estimate as one flat (shared + K * arm slot)-vector."""
         theta, betas = self.estimates()
         return np.concatenate([theta, betas.ravel()])
 
     def scores(self, ctx: ContextRound) -> np.ndarray:
-        means, quads = self.design.means_and_quad_forms(
-            ctx.xs, ctx.zs, self.u_shared, self.u_arms
-        )
+        xs, zs = self.place(ctx.xs, ctx.zs)
+        means, quads = self.design.means_and_quad_forms(xs, zs, self.u_shared, self.u_arms)
         return means + self.config.gamma * np.sqrt(quads)
 
     def select_arm(self, ctx: ContextRound) -> int:
@@ -160,54 +171,31 @@ class SharedLinearUCB:
     def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
+        x, z = self.place(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
         self.design.block_update(arm, x, z)
-        self.u_shared += reward * np.asarray(x, dtype=float)
-        self.u_arms[arm] += reward * np.asarray(z, dtype=float)
+        self.u_shared += reward * x
+        self.u_arms[arm] += reward * z
 
 
-class DisjointLinearUCB:
+class DisjointLinearUCB(SharedLinearUCB):
     """One independent ridge-UCB model per arm on the concatenated features.
 
-    Per-arm Gram matrices ``M`` and their Sherman-Morrison inverses ``M_inv``
-    are (K, d1 + d2, d1 + d2) stacks; an arm's inverse is rebuilt every
-    ``INVERSE_REFRESH_EVERY`` pulls of that arm.
+    The disjoint LinUCB of Li, Chu, Langford and Schapire 2010 (Algorithm 1,
+    arXiv:1003.0146) is their hybrid design with no shared block: [x, z]
+    goes in the arm slot of a ``BlockDesign(0, d1 + d2, K, lam)``, whose
+    ``W_i`` is arm i's Gram matrix.
     """
 
-    def __init__(self, config: PolicyConfig):
-        if config.algo != DISLINUCB:
-            raise ValueError(f"{config.algo!r} is not the disjoint algorithm")
-        self.config = config
-        d = config.d1 + config.d2
-        self.M = np.repeat((np.eye(d) * config.lam)[None, :, :], config.n_arms, axis=0)
-        self.M_inv = np.repeat((np.eye(d) / config.lam)[None, :, :], config.n_arms, axis=0)
-        self.pulls = np.zeros(config.n_arms, dtype=np.int64)
-        self.u = np.zeros((config.n_arms, d))
-        self.phi = np.zeros((config.n_arms, d))
+    algorithms = (DISLINUCB,)
+    # Own entries, not inherited ones, so that wrapping a method of each class by
+    # name (as a tracer does) wraps every function once.
+    select_arm = SharedLinearUCB.select_arm
+    update = SharedLinearUCB.update
 
-    def scores(self, ctx: ContextRound) -> np.ndarray:
-        xbar = np.hstack([ctx.xs, ctx.zs])
-        means = np.einsum("kd,kd->k", xbar, self.phi)
-        quads = np.einsum("kd,kd->k", (self.M_inv @ xbar[..., None])[..., 0], xbar)
-        return means + self.config.gamma * np.sqrt(np.maximum(quads, 0.0))
-
-    def select_arm(self, ctx: ContextRound) -> int:
-        return int(np.argmax(self.scores(ctx)))
-
-    def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
-        if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {reward}")
-        xbar = np.concatenate([x, z]).astype(float, copy=False)
-        if not np.isfinite(xbar).all():
-            raise ValueError("features must be finite")
-        self.M[arm] += np.outer(xbar, xbar)
-        g = self.M_inv[arm] @ xbar
-        self.M_inv[arm] -= np.outer(g, g) / (1.0 + float(xbar @ g))
-        self.pulls[arm] += 1
-        if self.pulls[arm] % INVERSE_REFRESH_EVERY == 0:
-            self.M[arm] = symmetrize(self.M[arm])
-            self.M_inv[arm] = symmetrize(np.linalg.inv(self.M[arm]))
-        self.u[arm] += reward * xbar
-        self.phi[arm] = self.M_inv[arm] @ self.u[arm]
+    @staticmethod
+    def place(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Features of the shared slot and of the arm slot: none and [x, z]."""
+        return x[..., :0], np.concatenate([x, z], axis=-1)
 
 
 class OraclePolicy:

@@ -101,6 +101,39 @@ class DenseSharedUCB:
         self.phi = np.linalg.solve(self.M, self.u)
 
 
+class DenseDisjointUCB:
+    """Naive per-arm reference for DisLinUCB: one dense (d1 + d2)-dimensional model per arm.
+
+    Keeps every arm's full Gram matrix M_i, re-inverts each one with LAPACK
+    every round, re-solves the pulled arm's estimate at every update, and
+    scores arms by looping.
+    """
+
+    def __init__(self, d1, d2, n_arms, lam, gamma):
+        self.n_arms, self.gamma = n_arms, gamma
+        dim = d1 + d2
+        self.M = [lam * np.eye(dim) for _ in range(n_arms)]
+        self.u = np.zeros((n_arms, dim))
+        self.phi = np.zeros((n_arms, dim))
+
+    def scores(self, ctx) -> np.ndarray:
+        out = np.empty(self.n_arms)
+        for i in range(self.n_arms):
+            v = np.concatenate([ctx.xs[i], ctx.zs[i]])
+            m_inv = np.linalg.inv(self.M[i])
+            out[i] = v @ self.phi[i] + self.gamma * np.sqrt(v @ m_inv @ v)
+        return out
+
+    def select_arm(self, ctx) -> int:
+        return int(np.argmax(self.scores(ctx)))
+
+    def update(self, arm, x, z, reward) -> None:
+        v = np.concatenate([x, z])
+        self.M[arm] += np.outer(v, v)
+        self.u[arm] += reward * v
+        self.phi[arm] = np.linalg.solve(self.M[arm], self.u[arm])
+
+
 def dense_ridge(rows: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
     """Ridge solution via dense normal equations."""
     dim = rows.shape[1]

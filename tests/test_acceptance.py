@@ -25,11 +25,18 @@ from hybandit.envs import (
 )
 from hybandit.harness import experiment_spec, run_experiment, run_trial, synthetic_environment
 from hybandit.model import mean_reward, mean_rewards
-from hybandit.policies import HYLINUCB, LINUCB, PolicyConfig, SharedLinearUCB
+from hybandit.policies import (
+    DISLINUCB,
+    HYLINUCB,
+    LINUCB,
+    PolicyConfig,
+    SharedLinearUCB,
+    make_policy,
+)
 from hybandit.replay import build_features
 from hybandit.rng import derive_seed, stream
 
-from oracles import DenseSharedUCB
+from oracles import DenseDisjointUCB, DenseSharedUCB
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,7 +54,8 @@ def test_01_block_policies_match_dense_reference():
     worst_phi = 0.0
     mismatches = 0
     instances = 0
-    for algo in (LINUCB, HYLINUCB):
+    for algo in (LINUCB, HYLINUCB, DISLINUCB):
+        dense_cls = DenseDisjointUCB if algo == DISLINUCB else DenseSharedUCB
         for _ in range(10):
             d1 = int(seeds.integers(2, 5))
             d2 = int(seeds.integers(2, 5))
@@ -57,8 +65,8 @@ def test_01_block_policies_match_dense_reference():
             params, ctxs = generate_environment(cfg_env)
             noise = 0.1 * stream(env_seed, 0, 0, "noise").standard_normal(1000)
             cfg = PolicyConfig.create(algo, d1=d1, d2=d2, n_arms=k, S=1.0, T=1000)
-            block = SharedLinearUCB(cfg)
-            dense = DenseSharedUCB(d1, d2, k, cfg.lam, cfg.gamma)
+            block = make_policy(cfg)
+            dense = dense_cls(d1, d2, k, cfg.lam, cfg.gamma)
             for t in range(1000):
                 ctx = ctxs.round(t)
                 a, b = block.select_arm(ctx), dense.select_arm(ctx)
@@ -70,7 +78,8 @@ def test_01_block_policies_match_dense_reference():
                 r = float(means[a] + noise[t])
                 block.update(a, x, z, r)
                 dense.update(a, x, z, r)
-                worst_phi = max(worst_phi, float(np.max(np.abs(block.phi_hat() - dense.phi))))
+                phi_gap = block.phi_hat() - dense.phi.ravel()
+                worst_phi = max(worst_phi, float(np.max(np.abs(phi_gap))))
             instances += 1
     elapsed = time.time() - t_start
     ok = mismatches == 0 and worst_phi <= 1e-8 and elapsed < 60

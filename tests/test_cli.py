@@ -312,9 +312,12 @@ class TestDiagnose:
     @pytest.mark.parametrize(
         "args, key",
         [(["--rho", "-1"], "rho"), (["--rho", "nan"], "rho"), (["--rho", "2"], "rho"),
-         (["--diagnostics-every", "0"], "diagnostics_every"), (["--threads", "0"], "threads")],
+         (["--diagnostics-every", "0"], "diagnostics_every"), (["--threads", "0"], "threads"),
+         (["--T", "50", "--diagnostics-every", "100"], "diagnostics_every"),
+         (["--diagnostics-every", "5"], "diagnostics_every"),
+         (["--diagnostics-every", "3"], "diagnostics_every")],
         ids=["rho_negative", "rho_nan", "rho_above_one", "diagnostics_every_zero",
-             "threads_zero"],
+             "threads_zero", "no_sample", "one_sample_at_T", "one_sample_before_T"],
     )
     def test_bad_flag_value_exits_2_before_running(self, args, key, tmp_path, capsys):
         assert run_cli("diagnose", *SMALL, *args, "--out-dir", str(tmp_path)) == 2

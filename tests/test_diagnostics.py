@@ -149,8 +149,8 @@ class TestConfidence:
             pol.update(i, x, z, float(rng.standard_normal()))
         per_arm = []
         for i in range(4):
-            d = pol.phi[i] - np.concatenate([params.theta, params.betas[i]])
-            per_arm.append(math.sqrt(float(d @ pol.M[i] @ d)))
+            d = pol.estimates()[1][i] - np.concatenate([params.theta, params.betas[i]])
+            per_arm.append(math.sqrt(float(d @ pol.design.W[i] @ d)))
         report = check_confidence(pol, params)
         assert report.residual == pytest.approx(max(per_arm), rel=1e-12)
 

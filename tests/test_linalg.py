@@ -8,6 +8,7 @@ from hybandit.policies import HYLINUCB, PolicyConfig, SharedLinearUCB
 from oracles import (
     SparseHybridVector,
     assemble_dense,
+    dense_ridge,
     eigenvalues_by_char_poly,
     sandwich_spectrum_dense,
 )
@@ -239,6 +240,11 @@ class TestBlockDesign:
         with pytest.raises(ValueError):
             bd.means_and_quad_forms(xs, zs, u_shared[:2], u_arms)
 
+    @pytest.mark.parametrize("d1, d2, n_arms", [(-1, 2, 3), (3, 0, 3), (3, 2, 0)])
+    def test_rejects_bad_dimensions(self, d1, d2, n_arms):
+        with pytest.raises(ValueError):
+            BlockDesign(d1, d2, n_arms, 1.0)
+
     def test_dimension_mismatch(self, rng):
         bd = BlockDesign(3, 2, 2, 1.0)
         with pytest.raises(ValueError):
@@ -293,6 +299,44 @@ class TestBlockDesignNumerics:
                 assert np.max(np.abs(bd.W_inv - w_inv)) <= 1e-10 * np.max(np.abs(w_inv))
                 assert np.max(np.abs(bd.C - bd.B @ w_inv)) <= 1e-10 * max(1.0, np.max(np.abs(bd.C)))
         assert refreshes == [10_000, 20_000]
+
+    def test_no_shared_block_is_per_arm_dense_ridge_across_refreshes(self, rng, monkeypatch):
+        # d1 = 0 leaves M = blockdiag(W_1, ..., W_K): one ridge model per arm
+        refreshes = []
+        original = BlockDesign.refresh
+
+        def counting_refresh(self):
+            refreshes.append(self.t)
+            original(self)
+
+        monkeypatch.setattr(BlockDesign, "refresh", counting_refresh)
+        monkeypatch.setattr("hybandit.linalg.INVERSE_REFRESH_EVERY", 50)
+        d, n_arms, lam = 4, 3, 2.0
+        bd = BlockDesign(0, d, n_arms, lam)
+        rows = [[] for _ in range(n_arms)]
+        ys = [[] for _ in range(n_arms)]
+        u_arms = np.zeros((n_arms, d))
+        for step in range(1, 131):
+            i = int(rng.integers(n_arms))
+            z, y = rng.standard_normal(d) / 2, float(rng.standard_normal())
+            bd.block_update(i, np.zeros(0), z)
+            rows[i].append(z)
+            ys[i].append(y)
+            u_arms[i] += y * z
+            if step not in (50, 100, 130):
+                continue
+            zs = rng.standard_normal((n_arms, d)) / 2
+            theta, betas = bd.solve_blocks(np.zeros(0), u_arms)
+            means, quads = bd.means_and_quad_forms(np.zeros((n_arms, 0)), zs, np.zeros(0), u_arms)
+            assert theta.shape == (0,)
+            for a in range(n_arms):
+                r = np.array(rows[a]).reshape(-1, d)
+                ref = dense_ridge(r, np.array(ys[a]), lam)
+                m = lam * np.eye(d) + r.T @ r
+                assert np.max(np.abs(betas[a] - ref)) < 1e-10, (step, a)
+                assert means[a] == pytest.approx(float(zs[a] @ ref), rel=1e-10, abs=1e-14)
+                assert quads[a] == pytest.approx(float(zs[a] @ np.linalg.solve(m, zs[a])), rel=1e-12)
+        assert refreshes == [50, 100]
 
     def test_refresh_matches_incremental_state(self, rng):
         bd = random_design(rng, 4, 3, 5, 1.0, 400)

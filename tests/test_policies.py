@@ -256,8 +256,8 @@ class TestDisjoint:
         for i, x, z, r in updates:
             if i == 1:
                 solo.update(i, x, z, r)
-        assert np.allclose(pol.phi[1], solo.phi[1], atol=1e-14)
-        assert np.allclose(pol.M[1], solo.M[1], atol=1e-14)
+        assert np.allclose(pol.estimates()[1][1], solo.estimates()[1][1], atol=1e-14)
+        assert np.allclose(pol.design.W[1], solo.design.W[1], atol=1e-14)
 
     def test_matches_per_arm_dense_ridge(self, rng):
         pol = self.make()
@@ -273,13 +273,13 @@ class TestDisjoint:
         for i in range(3):
             if rows[i]:
                 ref = dense_ridge(np.array(rows[i]), np.array(ys[i]), pol.config.lam)
-                assert np.max(np.abs(pol.phi[i] - ref)) < 1e-9
+                assert np.max(np.abs(pol.estimates()[1][i] - ref)) < 1e-9
 
     @pytest.mark.parametrize("refresh_every", [None, 7])
     def test_scores_match_per_arm_loop(self, rng, monkeypatch, refresh_every):
         if refresh_every is not None:
             # 120 updates over 3 arms refresh every arm's inverse several times
-            monkeypatch.setattr("hybandit.policies.INVERSE_REFRESH_EVERY", refresh_every)
+            monkeypatch.setattr("hybandit.linalg.INVERSE_REFRESH_EVERY", refresh_every)
         pol = self.make()
         for _ in range(120):
             i = int(rng.integers(3))
@@ -289,8 +289,8 @@ class TestDisjoint:
         got = pol.scores(ctx)
         for i in range(3):
             xbar = np.concatenate([ctx.xs[i], ctx.zs[i]])
-            expected = float(xbar @ pol.phi[i]) + pol.config.gamma * math.sqrt(
-                float(xbar @ pol.M_inv[i] @ xbar)
+            expected = float(xbar @ pol.estimates()[1][i]) + pol.config.gamma * math.sqrt(
+                float(xbar @ pol.design.W_inv[i] @ xbar)
             )
             assert got[i] == pytest.approx(expected, rel=1e-12), i
 
