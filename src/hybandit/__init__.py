@@ -12,7 +12,7 @@ if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.e
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .model import ContextRound, HybridParams
-from .linalg import BlockDesign, SymPosDef
+from .linalg import BlockDesign
 from .policies import PolicyConfig, default_lambda, exploration_coefficient, make_policy
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ContextRound",
     "HybridParams",
     "PolicyConfig",
-    "SymPosDef",
     "default_lambda",
     "exploration_coefficient",
     "make_policy",

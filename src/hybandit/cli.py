@@ -284,8 +284,8 @@ def cmd_run(args) -> int:
     out = _out_dir(v)
     print(
         f"running setting={spec.setting} algos={','.join(spec.algos)} "
-        f"d1={spec.d1} d2={spec.d2} K={spec.n_arms} T={spec.T} "
-        f"envs={spec.n_envs} trials={spec.n_trials}",
+        f"d1={spec.d1} d2={spec.d2} K={','.join(map(str, spec.k_grid or (spec.n_arms,)))} "
+        f"T={spec.T} envs={spec.n_envs} trials={spec.n_trials}",
         file=sys.stderr,
     )
     result = run_experiment(spec)
@@ -426,9 +426,14 @@ def cmd_summarize(args) -> int:
                 rnd, cum = int(rnd), float(cum)
             except ValueError as exc:
                 raise ConfigError(f"{path} line {lineno}: {exc}") from exc
-            if rnd >= rounds.get(key, -1):
-                rounds[key] = rnd
-                finals[key] = cum
+            if key in rounds and rnd <= rounds[key]:
+                raise ConfigError(
+                    f"{path} line {lineno}: round {rnd} of trace algo={algo} env_id={key[1]} "
+                    f"trial_id={key[2]} does not follow round {rounds[key]}; a K sweep's "
+                    "regret CSV holds one trace per K, which summarize cannot tell apart"
+                )
+            rounds[key] = rnd
+            finals[key] = cum
     by_algo: dict[str, list[float]] = {}
     t_max = max(rounds.values()) if rounds else 0
     for (algo, _, _), val in sorted(finals.items()):

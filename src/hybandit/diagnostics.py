@@ -3,8 +3,7 @@
 These checks turn the quantities behind the regret analysis into measurable
 ones: burn-in round counts from the diversity constant, minimum-eigenvalue
 growth of the design blocks, cross-block operator-norm growth, the
-block-diagonal sandwich spectrum, the estimator's confidence residual, and
-the deterministic elliptic-potential inequality.
+block-diagonal sandwich spectrum and the estimator's confidence residual.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockDesign, SymPosDef
 from .model import HybridParams
 from .policies import (
     ALGORITHMS,
@@ -122,76 +120,15 @@ def disjoint_confidence_residual(policy: DisjointLinearUCB, params: HybridParams
     return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, policy.design.W, d)))))
 
 
-@dataclass(frozen=True)
-class ConfidenceReport:
-    residual: float
-    gamma: float
-    ok: bool
+def confidence_residual(policy: SharedLinearUCB, params: HybridParams) -> float:
+    """Design-weighted error of the policy's estimate against the true parameters.
 
-
-def check_confidence(policy, params: HybridParams, gamma: float | None = None) -> ConfidenceReport:
-    """Check the estimator against its confidence width (synthetic runs only)."""
-    if gamma is None:
-        gamma = policy.config.gamma
-    if isinstance(policy, DisjointLinearUCB):
-        residual = disjoint_confidence_residual(policy, params)
-    elif isinstance(policy, SharedLinearUCB):
-        residual = shared_confidence_residual(policy, params)
-    else:
-        raise TypeError(f"no confidence residual for {type(policy).__name__}")
-    return ConfidenceReport(residual, float(gamma), residual <= gamma)
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    spectrum_min: float
-    spectrum_max: float
-    ok: bool
-
-
-def check_sandwich(design: BlockDesign) -> SandwichReport:
-    """Check that the design lies between half and twice its block-diagonal part."""
-    smin, smax = design.sandwich_spectrum()
-    return SandwichReport(smin, smax, 0.5 <= smin and smax <= 2.0)
-
-
-@dataclass(frozen=True)
-class EllipticReport:
-    lhs: np.ndarray
-    bound: np.ndarray
-    worst_slack: float
-    ok: bool
-
-
-def check_elliptic_potential(xs: np.ndarray, lam: float) -> EllipticReport:
-    """Verify the deterministic potential inequality along a feature sequence.
-
-    For unit-bounded vectors and lam >= 1, the running sum of squared
-    inverse-design-weighted norms never exceeds ``2 d log(1 + t / (lam d))``.
-    Reports the worst slack over the sequence (negative slack = violation,
-    which would indicate a numerical or bookkeeping bug).
+    Compared with the policy's exploration coefficient ``gamma``, it tells
+    whether the true parameters lie in the confidence set (synthetic runs only).
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("expected a (t, d) stack of vectors")
-    if lam < 1.0:
-        raise ValueError(f"lam must be at least 1, got {lam}")
-    norms = np.linalg.norm(xs, axis=1)
-    if norms.size and float(np.max(norms)) > 1.0 + 1e-9:
-        raise ValueError("all vectors must have norm at most 1")
-    n, d = xs.shape
-    design = SymPosDef(d, lam)
-    lhs = np.zeros(n)
-    bound = np.zeros(n)
-    running = 0.0
-    for s in range(n):
-        running += design.quad_form_inv(xs[s])
-        lhs[s] = running
-        bound[s] = 2.0 * d * math.log(1.0 + (s + 1) / (lam * d))
-        design.rank_one_update(xs[s])
-    slack = bound - lhs
-    worst = float(np.min(slack)) if n else math.inf
-    return EllipticReport(lhs, bound, worst, worst >= 0.0)
+    if isinstance(policy, DisjointLinearUCB):
+        return disjoint_confidence_residual(policy, params)
+    return shared_confidence_residual(policy, params)
 
 
 @dataclass(frozen=True)
@@ -308,11 +245,10 @@ def sample_diagnostics(
     else:
         smin, smax = math.nan, math.nan
     if params is not None and isinstance(policy, SharedLinearUCB):
-        report = check_confidence(policy, params)
-        residual, gamma = report.residual, report.gamma
+        residual = confidence_residual(policy, params)
     else:
         residual = math.nan
-        gamma = getattr(getattr(policy, "config", None), "gamma", math.nan)
+    gamma = getattr(getattr(policy, "config", None), "gamma", math.nan)
     return DiagnosticsSample(
         round_index=round_index,
         lambda_min_V=lam_v,

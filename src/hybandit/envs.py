@@ -88,23 +88,6 @@ def generate_environment(cfg: SyntheticEnvConfig) -> tuple[HybridParams, Synthet
     return HybridParams(theta, betas, S=cfg.S), SyntheticContextStream(cfg)
 
 
-def draw_reward(
-    params: HybridParams,
-    arm: int,
-    x: np.ndarray,
-    z: np.ndarray,
-    noise_std: float,
-    rng: np.random.Generator,
-) -> float:
-    """Mean reward of (arm, x, z) plus centered Gaussian noise."""
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
-    mean = float(np.dot(params.theta, x) + np.dot(params.betas[arm], z))
-    if noise_std == 0:
-        return mean
-    return mean + noise_std * float(rng.standard_normal())
-
-
 def dump_environment(cfg: SyntheticEnvConfig, path) -> None:
     """Write the environment's parameters and shape to a JSON audit file."""
     params, _ = generate_environment(cfg)

@@ -17,7 +17,8 @@ order so output files are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -249,10 +250,10 @@ class AggregateCurve:
 
 
 def aggregate_traces(traces: list[RegretTrace]) -> dict[str, AggregateCurve]:
-    """One-pass mean/std per (algo, round) over trials, order-independent.
+    """Mean/std per (algo, round) over trials, order-independent.
 
-    Traces are sorted by (algo, env, trial) before the streaming pass, so the
-    result does not depend on completion order.
+    Each algorithm's traces are sorted by (env, trial) and stacked before the
+    reduction, so the result does not depend on completion order.
     """
     by_algo: dict[str, list[RegretTrace]] = {}
     for tr in traces:
@@ -260,16 +261,8 @@ def aggregate_traces(traces: list[RegretTrace]) -> dict[str, AggregateCurve]:
     out: dict[str, AggregateCurve] = {}
     for algo, group in sorted(by_algo.items()):
         group = sorted(group, key=lambda tr: (tr.env_id, tr.trial_id))
-        n = 0
-        mean = np.zeros_like(group[0].cum_regret)
-        m2 = np.zeros_like(mean)
-        for tr in group:
-            n += 1
-            delta = tr.cum_regret - mean
-            mean += delta / n
-            m2 += delta * (tr.cum_regret - mean)
-        std = np.sqrt(m2 / n) if n > 0 else m2
-        out[algo] = AggregateCurve(algo, mean, std, n)
+        stack = np.stack([tr.cum_regret for tr in group])
+        out[algo] = AggregateCurve(algo, stack.mean(axis=0), stack.std(axis=0), len(group))
     return out
 
 
@@ -306,66 +299,60 @@ def summary_rows(
     ]
 
 
-def _summary_rows(spec: ExperimentSpec, traces: list[RegretTrace]) -> list[SummaryRow]:
-    finals: dict[str, list[float]] = {}
-    for tr in sorted(traces, key=lambda tr: (tr.algo, tr.env_id, tr.trial_id)):
-        finals.setdefault(tr.algo, []).append(tr.final_regret)
-    return summary_rows(finals, spec.T, spec.n_arms, spec.d1, spec.d2)
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run every (environment, algorithm, trial) combination of a spec.
+    """Run every (K, environment, algorithm, trial) combination of a spec.
 
-    Each environment's runs are dealt round-robin into
+    Setting 3 sweeps the K grid; any other spec has the one K ``n_arms``.
+    The runs of each (K, environment) are dealt round-robin into
     ``min(len(runs), threads)`` groups, each one job running one
     :func:`run_traces`: the jobs stay nearly equal whatever ``n_envs`` is,
     and each environment's contexts are drawn at most ``threads`` times.
-    Setting 3 sweeps the K grid, rerunning the spec once per arm count; the
-    summary then has one row per (algorithm, K).
+    All jobs, of every K, run on one pool.  The traces come K by K, each K's
+    sorted by (algo, env, trial), and the summary has one row per
+    (algorithm, K).
     """
-    if spec.setting == 3 and spec.k_grid:
-        traces: list[RegretTrace] = []
-        diagnostics: list[DiagnosticsTrace] = []
-        summary: list[SummaryRow] = []
-        for k in spec.k_grid:
-            sub = replace(spec, setting="custom", n_arms=int(k), k_grid=())
-            result = run_experiment(sub)
-            traces.extend(result.traces)
-            diagnostics.extend(result.diagnostics)
-            summary.extend(result.summary)
-        curves = aggregate_traces(traces)
-        return ExperimentResult(spec, traces, diagnostics, curves, summary)
-
+    ks = spec.k_grid if spec.setting == 3 and spec.k_grid else (spec.n_arms,)
     runs = [(algo, trial) for algo in spec.algos for trial in range(spec.n_trials)]
     groups = min(len(runs), spec.threads)
     jobs = []
-    for env_idx in range(spec.n_envs):
-        cfg = SyntheticEnvConfig(
-            d1=spec.d1,
-            d2=spec.d2,
-            n_arms=spec.n_arms,
-            T=spec.T,
-            noise_std=spec.noise_std,
-            S=spec.S,
-            env_seed=derive_seed(spec.base_seed, env_idx),
-        )
-        for g in range(groups):
-            jobs.append((cfg, env_idx, runs[g::groups], spec.delta, spec.diagnostics_every))
+    for k in ks:
+        for env_idx in range(spec.n_envs):
+            cfg = SyntheticEnvConfig(
+                d1=spec.d1,
+                d2=spec.d2,
+                n_arms=k,
+                T=spec.T,
+                noise_std=spec.noise_std,
+                S=spec.S,
+                env_seed=derive_seed(spec.base_seed, env_idx),
+            )
+            for g in range(groups):
+                jobs.append((cfg, env_idx, runs[g::groups], spec.delta, spec.diagnostics_every))
 
     if spec.threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            results = [pair for group in pool.map(_run_group_job, jobs) for pair in group]
+            results = list(pool.map(_run_group_job, jobs))
     else:
-        results = [pair for job in jobs for pair in _run_group_job(job)]
+        results = [_run_group_job(job) for job in jobs]
 
-    traces = [trace for trace, _ in results]
-    diagnostics = [diag for _, diag in results if diag is not None]
-    traces.sort(key=lambda tr: (tr.algo, tr.env_id, tr.trial_id))
-    diagnostics.sort(key=lambda d: (d.algo, d.env_id, d.trial_id))
+    by_run = attrgetter("algo", "env_id", "trial_id")
+    traces: list[RegretTrace] = []
+    diagnostics: list[DiagnosticsTrace] = []
+    summary: list[SummaryRow] = []
+    per_k = len(jobs) // len(ks)
+    for i, k in enumerate(ks):
+        pairs = [pair for group in results[i * per_k : (i + 1) * per_k] for pair in group]
+        k_traces = sorted((trace for trace, _ in pairs), key=by_run)
+        traces.extend(k_traces)
+        diagnostics.extend(sorted((diag for _, diag in pairs if diag is not None), key=by_run))
+        finals: dict[str, list[float]] = {}
+        for tr in k_traces:
+            finals.setdefault(tr.algo, []).append(tr.final_regret)
+        summary.extend(summary_rows(finals, spec.T, k, spec.d1, spec.d2))
     curves = aggregate_traces(traces)
-    return ExperimentResult(spec, traces, diagnostics, curves, _summary_rows(spec, traces))
+    return ExperimentResult(spec, traces, diagnostics, curves, summary)
 
 
 def _fmt(x) -> str:

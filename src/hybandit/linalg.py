@@ -29,7 +29,6 @@ __all__ = [
     "SymPosDef",
     "BlockDesign",
     "sym_eigenvalues",
-    "hermitian_dilation",
 ]
 
 # Full re-inversion cadence for Sherman-Morrison maintained inverses; bounds
@@ -43,11 +42,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 class SymPosDef:
-    """Symmetric positive definite matrix with an incrementally maintained inverse.
+    """Unused one-matrix design, kept only because ``perfbench/spans.py`` looks it up at install.
 
-    Initialized as ``ridge * I`` (all eigenvalues stay >= ridge under rank-one
-    additions).  ``rank_one_update`` adds ``v v^T`` in O(dim^2) via the
-    Sherman-Morrison identity; the inverse is rebuilt from scratch every
+    ``BlockDesign(0, dim, 1, ridge)`` is the same single ridge matrix: a
+    symmetric positive definite matrix with an incrementally maintained
+    inverse, initialized as ``ridge * I`` (all eigenvalues stay >= ridge under
+    rank-one additions).  ``rank_one_update`` adds ``v v^T`` in O(dim^2) via
+    the Sherman-Morrison identity; the inverse is rebuilt from scratch every
     ``INVERSE_REFRESH_EVERY`` updates.
 
     Single-writer: instances may move between threads but must not be mutated
@@ -312,20 +313,3 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
     return np.linalg.eigvalsh(_check_symmetric(a))
-
-
-def hermitian_dilation(b: np.ndarray) -> np.ndarray:
-    """Symmetric dilation ``[[0, B], [B^T, 0]]`` of a rectangular matrix.
-
-    Its eigenvalues are plus/minus the singular values of B (padded with
-    zeros), which turns singular-value questions into symmetric eigenvalue
-    ones.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {b.shape}")
-    p, q = b.shape
-    out = np.zeros((p + q, p + q))
-    out[:p, p:] = b
-    out[p:, :p] = b.T
-    return out

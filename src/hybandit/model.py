@@ -1,10 +1,10 @@
-"""Problem-domain types: hybrid reward parameters, their flattening, regret.
+"""Problem-domain types: hybrid reward parameters, context rounds, mean rewards.
 
 A hybrid reward instance has one shared parameter vector (length d1) plus one
 arm-specific vector per arm (length d2).  Embedding an arm's feature pair into
 a (d1 + d2*K)-vector reduces the hybrid problem to an ordinary shared linear
-model over the flattened parameters (:func:`flatten`), preserving mean rewards
-exactly.
+model over the concatenated parameters (theta, beta_1, ..., beta_K),
+preserving mean rewards exactly.
 """
 
 from __future__ import annotations
@@ -73,32 +73,6 @@ class ContextRound:
         return self.xs[i], self.zs[i]
 
 
-def flatten(params: HybridParams) -> np.ndarray:
-    """Concatenate (theta, beta_1, ..., beta_K) into one global vector."""
-    return np.concatenate([params.theta, params.betas.ravel()])
-
-
-def unflatten(phi: np.ndarray, d1: int, d2: int, n_arms: int, S: float = 1.0) -> HybridParams:
-    """Inverse of :func:`flatten`."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (d1 + d2 * n_arms,):
-        raise ValueError(f"phi length {phi.shape} does not match d1 + d2*K")
-    return HybridParams(phi[:d1].copy(), phi[d1:].reshape(n_arms, d2).copy(), S=S)
-
-
-def mean_reward(params: HybridParams, arm: int, x: np.ndarray, z: np.ndarray) -> float:
-    """Noiseless reward of pulling ``arm`` with features (x, z)."""
-    return float(np.dot(params.theta, x) + np.dot(params.betas[arm], z))
-
-
 def mean_rewards(params: HybridParams, ctx: ContextRound) -> np.ndarray:
     """Noiseless rewards of every arm in one round."""
     return ctx.xs @ params.theta + np.einsum("kd,kd->k", ctx.zs, params.betas)
-
-
-def instantaneous_regret(params: HybridParams, ctx: ContextRound, chosen: int) -> float:
-    """Best mean reward of the round minus the chosen arm's mean reward."""
-    if not 0 <= chosen < ctx.n_arms:
-        raise ValueError(f"chosen arm {chosen} out of range")
-    means = mean_rewards(params, ctx)
-    return max(0.0, float(np.max(means) - means[chosen]))

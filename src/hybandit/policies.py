@@ -155,11 +155,6 @@ class SharedLinearUCB:
         """Current ridge estimates (shared part, per-arm stack)."""
         return self.design.solve_blocks(self.u_shared, self.u_arms)
 
-    def phi_hat(self) -> np.ndarray:
-        """Estimate as one flat (shared + K * arm slot)-vector."""
-        theta, betas = self.estimates()
-        return np.concatenate([theta, betas.ravel()])
-
     def scores(self, ctx: ContextRound) -> np.ndarray:
         xs, zs = self.place(ctx.xs, ctx.zs)
         means, quads = self.design.means_and_quad_forms(xs, zs, self.u_shared, self.u_arms)

@@ -1,10 +1,33 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the block-structured code paths under
-test: dense design matrices, LAPACK factorizations, brute-force maxima.
+test: dense design matrices, LAPACK factorizations, brute-force maxima.  The
+one exception is :func:`check_elliptic_potential`, which checks the
+single-ridge ``BlockDesign`` against a deterministic inequality.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from hybandit.linalg import BlockDesign
+
+
+def mean_reward(params, arm: int, x: np.ndarray, z: np.ndarray) -> float:
+    """Noiseless reward of one arm: the scalar reference of ``model.mean_rewards``."""
+    return float(params.theta @ x + params.betas[arm] @ z)
+
+
+def flat_params(params) -> np.ndarray:
+    """(theta, beta_1, ..., beta_K) as one vector, in the layout of :func:`dense_embed`."""
+    return np.concatenate([params.theta, params.betas.ravel()])
+
+
+def flat_estimate(policy) -> np.ndarray:
+    """A policy's ridge estimate (shared part, then each arm slot) as one vector."""
+    theta, betas = policy.estimates()
+    return np.concatenate([theta, betas.ravel()])
 
 
 def dense_embed(arm: int, x: np.ndarray, z: np.ndarray, n_arms: int) -> np.ndarray:
@@ -190,3 +213,59 @@ def brute_force_best_arm(params, ctx) -> tuple[int, float]:
             best_val = val
             best_arm = i
     return best_arm, best_val
+
+
+def hermitian_dilation(b: np.ndarray) -> np.ndarray:
+    """Symmetric dilation ``[[0, B], [B^T, 0]]`` of a rectangular matrix.
+
+    Its eigenvalues are plus/minus the singular values of B (padded with
+    zeros), which turns singular-value questions into symmetric eigenvalue
+    ones.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {b.shape}")
+    p, q = b.shape
+    out = np.zeros((p + q, p + q))
+    out[:p, p:] = b
+    out[p:, :p] = b.T
+    return out
+
+
+@dataclass(frozen=True)
+class EllipticReport:
+    lhs: np.ndarray
+    bound: np.ndarray
+    worst_slack: float
+    ok: bool
+
+
+def check_elliptic_potential(xs: np.ndarray, lam: float) -> EllipticReport:
+    """Verify the deterministic potential inequality along a feature sequence.
+
+    For unit-bounded vectors and lam >= 1, the running sum of squared
+    inverse-design-weighted norms never exceeds ``2 d log(1 + t / (lam d))``.
+    The design is ``BlockDesign(0, d, 1, lam)``: one ridge matrix, updated by
+    Sherman-Morrison.  Reports the worst slack over the sequence (negative
+    slack = violation, which would indicate a numerical or bookkeeping bug).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError("expected a (t, d) stack of vectors")
+    if lam < 1.0:
+        raise ValueError(f"lam must be at least 1, got {lam}")
+    norms = np.linalg.norm(xs, axis=1)
+    if norms.size and float(np.max(norms)) > 1.0 + 1e-9:
+        raise ValueError("all vectors must have norm at most 1")
+    n, d = xs.shape
+    design = BlockDesign(0, d, 1, lam)
+    no_shared = np.zeros((1, 0))
+    quads = np.zeros(n)
+    for s in range(n):
+        quads[s] = design.quad_forms_per_arm(no_shared, xs[s : s + 1])[0]
+        design.block_update(0, no_shared[0], xs[s])
+    lhs = np.cumsum(quads)
+    bound = 2.0 * d * np.log1p(np.arange(1, n + 1) / (lam * d))
+    slack = bound - lhs
+    worst = float(np.min(slack)) if n else math.inf
+    return EllipticReport(lhs, bound, worst, worst >= 0.0)

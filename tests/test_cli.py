@@ -535,6 +535,21 @@ class TestSummarize:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("summarize", "--regret", str(tmp_path / "no.csv")) == 2
 
+    def test_k_sweep_csv_exits_2_naming_trace(self, tmp_path, capsys):
+        # regret.csv has no K column: the sweep writes trace (linucb, 0, 0) once per K
+        rc = run_cli(
+            "run", "--setting", "3", "--k-grid", "2,3", "--T", "20", "--algos", "linucb",
+            "--n-envs", "1", "--n-trials", "1", "--out-dir", str(tmp_path),
+        )
+        assert rc == 0
+        assert "K=2,3 " in capsys.readouterr().err
+        out = tmp_path / "sum"
+        assert run_cli("summarize", "--regret", str(tmp_path / "regret.csv"), "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "line 22" in err and "algo=linucb env_id=0 trial_id=0" in err
+        assert "K sweep" in err
+        assert not (out / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "row",
         ["linucb,0,0,2,0.75", "linucb,0,0,2,0.75,1,9", "linucb,x,0,2,0.75,1",

@@ -8,9 +8,7 @@ from hybandit.diagnostics import (
     DiagnosticsSample,
     DiagnosticsTrace,
     PulledFeatureTracker,
-    check_confidence,
-    check_elliptic_potential,
-    check_sandwich,
+    confidence_residual,
     shared_confidence_residual,
     sample_diagnostics,
     theory_constants,
@@ -20,7 +18,6 @@ from hybandit.diagnostics import (
 from hybandit.envs import SyntheticEnvConfig, sample_unit_ball
 from hybandit.harness import run_trial, synthetic_environment
 from hybandit.linalg import BlockDesign
-from hybandit.model import flatten
 from hybandit.policies import (
     DISLINUCB,
     LINUCB,
@@ -29,7 +26,7 @@ from hybandit.policies import (
     SharedLinearUCB,
 )
 
-from oracles import assemble_dense
+from oracles import assemble_dense, check_elliptic_potential, flat_estimate, flat_params
 from test_model import random_params
 
 
@@ -114,19 +111,18 @@ class TestConfidence:
     def test_initial_residual_passes(self, rng):
         params = random_params(rng, 3, 2, 5)
         pol = self.make_policy(params)
-        report = check_confidence(pol, params)
+        residual = confidence_residual(pol, params)
         lam = pol.config.lam
-        expected = math.sqrt(lam) * float(np.linalg.norm(flatten(params)))
-        assert report.residual == pytest.approx(expected, rel=1e-9)
+        expected = math.sqrt(lam) * float(np.linalg.norm(flat_params(params)))
+        assert residual == pytest.approx(expected, rel=1e-9)
         assert expected <= 2 * math.sqrt(lam * params.n_arms) * params.S
-        assert report.ok
+        assert residual <= pol.config.gamma
 
     def test_gamma_zero_fails_on_nonzero_residual(self, rng):
         params = random_params(rng, 3, 2, 4)
         pol = self.make_policy(params)
-        report = check_confidence(pol, params, gamma=0.0)
-        assert report.residual > 0.0
-        assert not report.ok
+        # the residual is positive, so no gamma of 0 covers it
+        assert confidence_residual(pol, params) > 0.0
 
     def test_residual_matches_dense_oracle(self, rng):
         params = random_params(rng, 3, 2, 4)
@@ -135,7 +131,7 @@ class TestConfidence:
             i = int(rng.integers(4))
             x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
             pol.update(i, x, z, float(rng.standard_normal()))
-        delta = pol.phi_hat() - flatten(params)
+        delta = flat_estimate(pol) - flat_params(params)
         dense = float(np.sqrt(delta @ assemble_dense(pol.design) @ delta))
         assert shared_confidence_residual(pol, params) == pytest.approx(dense, rel=1e-10)
 
@@ -151,13 +147,13 @@ class TestConfidence:
         for i in range(4):
             d = pol.estimates()[1][i] - np.concatenate([params.theta, params.betas[i]])
             per_arm.append(math.sqrt(float(d @ pol.design.W[i] @ d)))
-        report = check_confidence(pol, params)
-        assert report.residual == pytest.approx(max(per_arm), rel=1e-12)
+        assert confidence_residual(pol, params) == pytest.approx(max(per_arm), rel=1e-12)
 
 
 class TestSandwich:
     def test_fresh_passes(self):
-        assert check_sandwich(BlockDesign(3, 2, 4, 1.0)).ok
+        smin, smax = BlockDesign(3, 2, 4, 1.0).sandwich_spectrum()
+        assert 0.5 <= smin and smax <= 2.0
 
     def test_adversarial_correlated_features_can_fail(self):
         # x and z perfectly correlated at small t drives the spectrum wide
@@ -165,9 +161,8 @@ class TestSandwich:
         v = np.array([0.9, 0.1])
         for _ in range(20):
             bd.block_update(0, v, v)
-        report = check_sandwich(bd)
-        assert not report.ok
-        assert report.spectrum_min < 0.5
+        smin, _ = bd.sandwich_spectrum()
+        assert smin < 0.5
 
     def test_diverse_run_passes_late(self, rng):
         bd = BlockDesign(3, 3, 3, 1.0)
@@ -177,7 +172,8 @@ class TestSandwich:
                 sample_unit_ball(rng, 3),
                 sample_unit_ball(rng, 3),
             )
-        assert check_sandwich(bd).ok
+        smin, smax = bd.sandwich_spectrum()
+        assert 0.5 <= smin and smax <= 2.0
 
 
 def constant_eig_trace(n_samples=10, n_arms=2):

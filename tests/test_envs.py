@@ -5,16 +5,14 @@ import pytest
 
 from hybandit.envs import (
     SyntheticEnvConfig,
-    draw_reward,
     dump_environment,
     generate_environment,
     hybrid_least_squares,
     sample_unit_ball,
 )
-from hybandit.model import mean_reward
-from hybandit.rng import stream
+from hybandit.harness import Environment, run_trial, synthetic_environment
 
-from oracles import dense_embed, dense_ridge
+from oracles import dense_embed, dense_ridge, mean_reward
 from test_model import random_params
 
 
@@ -91,28 +89,23 @@ class TestGenerateEnvironment:
 
 
 class TestDrawReward:
-    def test_noiseless(self, rng):
-        params = random_params(rng, 3, 2, 4)
-        x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
-        got = draw_reward(params, 1, x, z, 0.0, rng)
-        assert got == mean_reward(params, 1, x, z)
+    """The reward ``run_traces`` feeds a policy: the arm's mean plus the trial's noise."""
 
-    @pytest.mark.slow
-    def test_moments(self, rng):
-        params = random_params(rng, 3, 2, 4)
-        x, z = rng.standard_normal(3) / 2, rng.standard_normal(2) / 2
-        mu = mean_reward(params, 2, x, z)
-        sigma = 0.1
-        n = 100_000
-        noise_rng = stream(7, 0, 0, "noise")
-        draws = np.array([draw_reward(params, 2, x, z, sigma, noise_rng) for _ in range(n)])
-        assert abs(draws.mean() - mu) < 3 * sigma / np.sqrt(n)
-        assert abs(draws.var() - sigma**2) < 0.05 * sigma**2
+    def test_noiseless(self):
+        # with no noise the reward is the mean, so the trials of an environment coincide
+        env = synthetic_environment(
+            SyntheticEnvConfig(d1=3, d2=2, n_arms=4, T=200, noise_std=0.0, env_seed=5)
+        )
+        t0, _ = run_trial("linucb", env, 0)
+        t1, _ = run_trial("linucb", env, 1)
+        assert np.array_equal(t0.cum_regret, t1.cum_regret)
+        assert np.array_equal(t0.chosen, t1.chosen)
 
     def test_negative_noise_rejected(self, rng):
         params = random_params(rng, 3, 2, 4)
+        _, contexts = generate_environment(SyntheticEnvConfig(d1=3, d2=2, n_arms=4, T=5))
         with pytest.raises(ValueError):
-            draw_reward(params, 0, np.zeros(3), np.zeros(2), -0.1, rng)
+            run_trial("linucb", Environment(0, 0, params, contexts, -0.1), 0)
 
 
 class TestHybridLeastSquares:

@@ -271,14 +271,31 @@ class TestRunExperiment:
         assert keys == {("linucb", 2), ("linucb", 3), ("dislinucb", 2), ("dislinucb", 3)}
 
     def test_parallel_equals_serial(self):
-        base = dict(algos=("linucb", "hylinucb"), d1=3, d2=2, n_arms=3, T=60, n_envs=2, n_trials=2)
-        serial = run_experiment(experiment_spec("custom", threads=1, **base))
-        parallel = run_experiment(experiment_spec("custom", threads=2, **base))
-        assert len(serial.traces) == len(parallel.traces) == 8
-        for a, b in zip(serial.traces, parallel.traces):
-            assert (a.algo, a.env_id, a.trial_id) == (b.algo, b.env_id, b.trial_id)
-            assert np.array_equal(a.cum_regret, b.cum_regret)
-            assert np.array_equal(a.chosen, b.chosen)
+        custom = dict(algos=("linucb", "hylinucb"), d1=3, d2=2, n_arms=3, T=60, n_envs=2, n_trials=2)
+        # a K sweep runs the jobs of every K on one pool
+        sweep = dict(
+            algos=("linucb", "dislinucb"), k_grid=(2, 3), T=40, n_envs=2, n_trials=1,
+            diagnostics_every=20,
+        )
+        for setting, base, n_traces in (("custom", custom, 8), (3, sweep, 8)):
+            serial = run_experiment(experiment_spec(setting, threads=1, **base))
+            parallel = run_experiment(experiment_spec(setting, threads=2, **base))
+            assert len(serial.traces) == len(parallel.traces) == n_traces
+            for a, b in zip(serial.traces, parallel.traces):
+                assert (a.algo, a.env_id, a.trial_id) == (b.algo, b.env_id, b.trial_id)
+                assert np.array_equal(a.cum_regret, b.cum_regret)
+                assert np.array_equal(a.chosen, b.chosen)
+            assert len(serial.diagnostics) == len(parallel.diagnostics)
+            for d_a, d_b in zip(serial.diagnostics, parallel.diagnostics):
+                assert (d_a.algo, d_a.env_id, d_a.trial_id, d_a.n_arms) == (
+                    d_b.algo, d_b.env_id, d_b.trial_id, d_b.n_arms
+                )
+                assert len(d_a.samples) == len(d_b.samples)
+                for s_a, s_b in zip(d_a.samples, d_b.samples):
+                    for f in dataclasses.fields(s_a):
+                        a, b = getattr(s_a, f.name), getattr(s_b, f.name)
+                        assert np.array_equal(a, b, equal_nan=True), f.name
+            assert serial.summary == parallel.summary
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_parallel_equals_serial_one_env(self, threads):

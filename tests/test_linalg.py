@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybandit.diagnostics import PulledFeatureTracker, sample_diagnostics
-from hybandit.linalg import BlockDesign, SymPosDef, hermitian_dilation, sym_eigenvalues
+from hybandit.linalg import BlockDesign, SymPosDef, sym_eigenvalues
 from hybandit.policies import HYLINUCB, PolicyConfig, SharedLinearUCB
 
 from oracles import (
@@ -10,6 +10,7 @@ from oracles import (
     assemble_dense,
     dense_ridge,
     eigenvalues_by_char_poly,
+    hermitian_dilation,
     sandwich_spectrum_dense,
 )
 

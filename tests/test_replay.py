@@ -5,7 +5,6 @@ import pytest
 
 from hybandit.envs import hybrid_least_squares, sample_unit_ball
 from hybandit.harness import Environment, run_trial
-from hybandit.model import mean_reward
 from hybandit.replay import (
     ReplayLogError,
     ReplayRecord,
@@ -16,6 +15,8 @@ from hybandit.replay import (
     write_replay_log,
 )
 from hybandit.rng import stream
+
+from oracles import mean_reward
 
 
 def synth_records(seed, n, n_arms=5, du=3, dv=3, params=None):
