@@ -61,6 +61,11 @@ def _algo_names(text: str) -> tuple[str, ...]:
     return tuple(a.strip().lower() for a in text.split(",") if a.strip())
 
 
+def _algos_ok(text: str) -> bool:
+    names = _algo_names(text)
+    return bool(names) and len(set(names)) == len(names) and set(names) <= set(harness.VALID_ALGOS)
+
+
 def _json_list(text: str):
     """Flag type of an array key: ``10,25`` is read as the JSON array ``[10, 25]``.
 
@@ -128,8 +133,8 @@ KEYS = (
         lambda v: v in (*harness.SETTING_SHAPES, "custom"),
         dict.fromkeys(_SHAPED, "custom"), "named setting: 1, 2 or 3"),
     Key("algos", "--algos", "string",
-        "of comma-separated names from " + ", ".join(harness.VALID_ALGOS),
-        lambda v: bool(_algo_names(v)) and set(_algo_names(v)) <= set(harness.VALID_ALGOS),
+        "of distinct comma-separated names from " + ", ".join(harness.VALID_ALGOS),
+        _algos_ok,
         dict.fromkeys((*_SPEC, "replay"), "hylinucb,linucb,dislinucb"),
         "comma-separated algorithm names"),
     Key("n_envs", "--n-envs", "integer", ">= 1", lambda v: v >= 1,
@@ -300,6 +305,11 @@ def cmd_run(args) -> int:
 def cmd_diagnose(args) -> int:
     v = resolve("diagnose", args, load_config(args.config))
     spec = _build_spec(v)
+    if len(spec.k_grid) > 1:
+        raise ConfigError(
+            f"diagnose reports on one K, so run one K per call (--k-grid K), "
+            f"got k_grid={list(spec.k_grid)}"
+        )
     if spec.diagnostics_every < 1:
         raise ConfigError("diagnostics_every must be positive for diagnose")
     if spec.T // spec.diagnostics_every < 2:
@@ -376,8 +386,9 @@ def cmd_replay(args) -> int:
                 f"T={horizon} exceeds the {stream_ctx.T} rounds the log has left "
                 f"after train_n={train_n}"
             )
+        s = stream_ctx
         stream_ctx = ReplayContextStream(
-            stream_ctx.records[:horizon], stream_ctx.user_scale, stream_ctx.arm_scale
+            s.users[:horizon], s.arms[:horizon], s.user_scale, s.arm_scale
         )
     env = Environment(
         0, derive_seed(v["seed"], 0), learned.params, stream_ctx, v["replay.noise_std"]
@@ -391,17 +402,7 @@ def cmd_replay(args) -> int:
     runs = [(algo, trial) for algo in algos for trial in range(v["n_trials"])]
     traces = [trace for trace, _ in harness.run_traces(env, runs, delta=v["delta"])]
     write_regret_csv(out / "replay_regret.csv", traces, stride=1)
-    curves = harness.aggregate_traces(traces)
-    best = np.min(np.stack([c.mean for c in curves.values()]), axis=0)
-    with open(out / "replay_relative.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("algo,round,mean_cum_regret,regret_minus_best\n")
-        for algo in sorted(curves):
-            curve = curves[algo]
-            for t in range(len(curve.mean)):
-                fh.write(
-                    f"{algo},{t + 1},{harness._fmt(curve.mean[t])},"
-                    f"{harness._fmt(curve.mean[t] - best[t])}\n"
-                )
+    harness.write_relative_csv(out / "replay_relative.csv", harness.aggregate_traces(traces))
     print(f"wrote {out / 'replay_regret.csv'}", file=sys.stderr)
     return 0
 

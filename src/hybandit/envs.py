@@ -115,70 +115,54 @@ class LearnedModel:
     fit_residual: float
 
 
-# Records stacked at a time by the fit; bounds its memory beyond ``data`` itself.
+# Rows summed at a time by the fit; bounds the memory of its outer products.
 FIT_CHUNK = 512
 
 
-def _record_stacks(data: list, d1: int, d2: int, size: int):
-    """Consecutive stacks ``(arms, xs, zs, ys)`` of ``size`` records each."""
-    for start in range(0, len(data), size):
-        part = data[start : start + size]
-        arms = np.array([int(item[0]) for item in part], dtype=np.int64)
-        xs = np.array([item[1] for item in part], dtype=float)
-        zs = np.array([item[2] for item in part], dtype=float)
-        ys = np.array([float(item[3]) for item in part])
-        if xs.shape != (len(part), d1) or zs.shape != (len(part), d2):
-            raise ValueError("feature dimensions differ between records")
-        if not (np.isfinite(xs).all() and np.isfinite(zs).all() and np.isfinite(ys).all()):
-            raise ValueError("features and targets must be finite")
-        yield arms, xs, zs, ys
-
-
-def hybrid_least_squares(
-    data,
-    *,
-    n_arms: int | None = None,
-    ridge: float = 1e-6,
-) -> LearnedModel:
+def hybrid_least_squares(arms, xs, zs, ys, *, n_arms: int, ridge: float = 1e-6) -> LearnedModel:
     """Penalized least-squares fit of the hybrid reward model.
 
-    ``data`` is a sequence of ``(arm, x, z, y)`` observations.  The normal
-    equations, plus ``ridge * I`` so arms never (or rarely) shown still get a
-    unique, zero-shrunk solution, are accumulated ``FIT_CHUNK`` records at a
-    time into the block form the policies use and solved by one block solve.
+    ``arms`` (n,), ``xs`` (n, d1), ``zs`` (n, d2) and ``ys`` (n,) hold one
+    observation per row: the arm shown, its shared and arm features, and the
+    reward.  The normal equations, plus ``ridge * I`` so arms never (or
+    rarely) shown still get a unique, zero-shrunk solution, are accumulated
+    ``FIT_CHUNK`` rows at a time into the block form the policies use and
+    solved by one block solve.
     """
-    data = list(data)
-    if not data:
+    arms = np.asarray(arms)
+    xs, zs, ys = (np.asarray(a, dtype=float) for a in (xs, zs, ys))
+    n = len(arms)
+    if n == 0:
         raise ValueError("data must be nonempty")
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
-    d1 = len(np.asarray(data[0][1], dtype=float))
-    d2 = len(np.asarray(data[0][2], dtype=float))
-    arm_ids = [int(item[0]) for item in data]
-    k = max(arm_ids) + 1 if n_arms is None else int(n_arms)
-    if min(arm_ids) < 0 or max(arm_ids) >= k:
-        raise ValueError(f"arm indices {min(arm_ids)}..{max(arm_ids)} out of range for {k} arms")
+    ndims = (arms.ndim, xs.ndim, zs.ndim, ys.ndim)
+    if ndims != (1, 2, 2, 1) or not len(xs) == len(zs) == len(ys) == n:
+        raise ValueError("arms, xs, zs and ys must hold one row per observation")
+    if not (np.isfinite(xs).all() and np.isfinite(zs).all() and np.isfinite(ys).all()):
+        raise ValueError("features and targets must be finite")
+    if arms.min() < 0 or arms.max() >= n_arms:
+        raise ValueError(f"arm indices {arms.min()}..{arms.max()} out of range for {n_arms} arms")
+    d1, d2 = xs.shape[1], zs.shape[1]
 
-    design = BlockDesign(d1, d2, k, ridge)
+    design = BlockDesign(d1, d2, n_arms, ridge)
     u_shared = np.zeros(d1)
-    u_arms = np.zeros((k, d2))
-    for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
-        design.V += xs.T @ xs
-        u_shared += xs.T @ ys
-        np.add.at(design.W, arms, zs[:, :, None] * zs[:, None, :])
-        np.add.at(design.B, arms, xs[:, :, None] * zs[:, None, :])
-        np.add.at(u_arms, arms, zs * ys[:, None])
+    u_arms = np.zeros((n_arms, d2))
+    chunks = [slice(start, start + FIT_CHUNK) for start in range(0, n, FIT_CHUNK)]
+    for c in chunks:
+        a, x, z, y = arms[c], xs[c], zs[c], ys[c]
+        design.V += x.T @ x
+        u_shared += x.T @ y
+        np.add.at(design.W, a, z[:, :, None] * z[:, None, :])
+        np.add.at(design.B, a, x[:, :, None] * z[:, None, :])
+        np.add.at(u_arms, a, z * y[:, None])
     design.refresh()
     theta, betas = design.solve_blocks(u_shared, u_arms)
     rss = 0.0
-    for arms, xs, zs, ys in _record_stacks(data, d1, d2, FIT_CHUNK):
-        resid = xs @ theta + np.einsum("nd,nd->n", zs, betas[arms]) - ys
+    for c in chunks:
+        resid = xs[c] @ theta + np.einsum("nd,nd->n", zs[c], betas[arms[c]]) - ys[c]
         rss += float(resid @ resid)
 
-    bound = max(
-        1e-12,
-        float(np.linalg.norm(theta)),
-        float(np.max(np.linalg.norm(betas, axis=1))) if k else 0.0,
-    )
+    bound = max(1e-12, float(np.linalg.norm(theta)), float(np.max(np.linalg.norm(betas, axis=1))))
     params = HybridParams(theta, betas, S=bound)
     return LearnedModel(params, rss)

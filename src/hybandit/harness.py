@@ -83,6 +83,8 @@ class ExperimentSpec:
         for algo in self.algos:
             if algo not in VALID_ALGOS:
                 raise ValueError(f"unknown algorithm {algo!r}; expected one of {VALID_ALGOS}")
+        if len(set(self.algos)) != len(self.algos):
+            raise ValueError(f"algorithms must be distinct, got {self.algos}")
         if min(self.d1, self.d2, self.n_arms, self.T, self.n_envs, self.n_trials) < 1:
             raise ValueError("dimensions, horizon and trial counts must be positive")
         if self.threads < 1:
@@ -309,7 +311,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     and each environment's contexts are drawn at most ``threads`` times.
     All jobs, of every K, run on one pool.  The traces come K by K, each K's
     sorted by (algo, env, trial), and the summary has one row per
-    (algorithm, K).
+    (algorithm, K).  ``curves`` holds each algorithm's mean regret curve for
+    a single K; a sweep returns none, since an algorithm's traces of
+    different K values are not trials of one experiment.
     """
     ks = spec.k_grid if spec.setting == 3 and spec.k_grid else (spec.n_arms,)
     runs = [(algo, trial) for algo in spec.algos for trial in range(spec.n_trials)]
@@ -351,7 +355,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         for tr in k_traces:
             finals.setdefault(tr.algo, []).append(tr.final_regret)
         summary.extend(summary_rows(finals, spec.T, k, spec.d1, spec.d2))
-    curves = aggregate_traces(traces)
+    curves = aggregate_traces(traces) if len(ks) == 1 else {}
     return ExperimentResult(spec, traces, diagnostics, curves, summary)
 
 
@@ -391,6 +395,17 @@ def write_summary_csv(path, rows: list[SummaryRow]) -> None:
                 f"{row.algo},{k},{d1},{d2},{row.T},"
                 f"{_fmt(row.mean_final_regret)},{_fmt(row.std_final_regret)},{row.n_trials}\n"
             )
+
+
+def write_relative_csv(path, curves: dict[str, AggregateCurve]) -> None:
+    """Write each algorithm's mean cumulative regret per round, and its excess over the lowest."""
+    best = np.min(np.stack([c.mean for c in curves.values()]), axis=0)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("algo,round,mean_cum_regret,regret_minus_best\n")
+        for algo in sorted(curves):
+            mean = curves[algo].mean
+            for t in range(len(mean)):
+                fh.write(f"{algo},{t + 1},{_fmt(mean[t])},{_fmt(mean[t] - best[t])}\n")
 
 
 def write_diagnostics_csv(path, diagnostics: list[DiagnosticsTrace]) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import FIT_CHUNK, LearnedModel, hybrid_least_squares
+from .envs import LearnedModel, hybrid_least_squares
 from .model import ContextRound
 
 
@@ -160,41 +160,25 @@ def build_features(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class ReplayContextStream:
-    """Context sequence built from logged records via :func:`build_features`.
+    """Context sequence of logged users (T, du) and arms (T, K, dv), via :func:`build_features`.
 
-    Feature vectors are rescaled by global factors so every round satisfies
-    the unit-norm bounds the policies assume; the factors are recorded.
+    Both are already divided by global factors, recorded as ``user_scale``
+    and ``arm_scale``, so every round satisfies the unit-norm bounds the
+    policies assume.
     """
 
-    def __init__(self, records: list[ReplayRecord], user_scale: float, arm_scale: float):
-        self.records = records
+    def __init__(self, users: np.ndarray, arms: np.ndarray, user_scale: float, arm_scale: float):
+        self.users = users
+        self.arms = arms
         self.user_scale = user_scale
         self.arm_scale = arm_scale
 
     @property
     def T(self) -> int:
-        return len(self.records)
+        return len(self.users)
 
     def round(self, t: int) -> ContextRound:
-        rec = self.records[t]
-        return ContextRound(*build_features(rec.user / self.user_scale, rec.arms / self.arm_scale))
-
-
-def _norm_scales(records: list[ReplayRecord]) -> tuple[float, float]:
-    """Largest user and arm feature norms (at least 1), over ``FIT_CHUNK``-record stacks.
-
-    The user norms are row-wise ``(1, du) @ (du, 1)`` products, which numpy
-    computes with the same ``dot`` as the 1-D ``np.linalg.norm``, so the
-    scales match a per-record loop bit for bit.
-    """
-    user_max = arm_max = 0.0
-    for start in range(0, len(records), FIT_CHUNK):
-        chunk = records[start : start + FIT_CHUNK]
-        users = np.stack([r.user for r in chunk])[:, None, :]
-        arms = np.stack([r.arms for r in chunk])
-        user_max = max(user_max, float(np.sqrt(np.max(users @ np.swapaxes(users, 1, 2)))))
-        arm_max = max(arm_max, float(np.max(np.linalg.norm(arms, axis=2))))
-    return max(1.0, user_max), max(1.0, arm_max)
+        return ContextRound(*build_features(self.users[t], self.arms[t]))
 
 
 def semi_synthetic_environment(
@@ -205,10 +189,12 @@ def semi_synthetic_environment(
 ) -> tuple[LearnedModel, ReplayContextStream]:
     """Fit the reward model on the first ``train_n`` records, replay the rest.
 
-    Training data uses the displayed arm's features with the click as the
-    regression target.  The returned stream serves the remaining records'
-    K-arm contexts; rewards during simulation should be drawn from the
-    learned model (it is the ground truth of the semi-synthetic world).
+    Users and arms are stacked once and divided by the largest user and arm
+    feature norms (at least 1).  Training data uses the displayed arm's
+    features with the click as the regression target.  The returned stream
+    serves the remaining records' K-arm contexts; rewards during simulation
+    should be drawn from the learned model (it is the ground truth of the
+    semi-synthetic world).
     """
     records = list(records)
     if train_n < 1:
@@ -217,13 +203,17 @@ def semi_synthetic_environment(
         raise ValueError(
             f"log has {len(records)} records, need more than train_n={train_n}"
         )
-    user_scale, arm_scale = _norm_scales(records)
-    train = records[:train_n]
-    xs, zs = build_features(
-        np.stack([rec.user for rec in train]) / user_scale,
-        np.stack([rec.arms[rec.displayed] for rec in train]) / arm_scale,
-    )
-    data = [(rec.displayed, x, z, float(rec.click)) for rec, x, z in zip(train, xs, zs)]
-    n_arms = records[0].arms.shape[0]
-    learned = hybrid_least_squares(data, n_arms=n_arms, ridge=ridge)
-    return learned, ReplayContextStream(records[train_n:], user_scale, arm_scale)
+    users = np.stack([rec.user for rec in records])
+    arms = np.stack([rec.arms for rec in records])
+    # The user norms are row-wise (1, du) @ (du, 1) products, which numpy
+    # computes with the same ``dot`` as the 1-D ``np.linalg.norm``, so the
+    # scales match a per-record loop bit for bit.
+    user_scale = max(1.0, float(np.sqrt(np.max(users[:, None, :] @ users[:, :, None]))))
+    arm_scale = max(1.0, float(np.max(np.linalg.norm(arms, axis=2))))
+    users /= user_scale
+    arms /= arm_scale
+    shown = np.array([rec.displayed for rec in records[:train_n]])
+    xs, zs = build_features(users[:train_n], arms[np.arange(train_n), shown])
+    clicks = np.array([rec.click for rec in records[:train_n]], dtype=float)
+    learned = hybrid_least_squares(shown, xs, zs, clicks, n_arms=arms.shape[1], ridge=ridge)
+    return learned, ReplayContextStream(users[train_n:], arms[train_n:], user_scale, arm_scale)

@@ -19,6 +19,12 @@ def mean_reward(params, arm: int, x: np.ndarray, z: np.ndarray) -> float:
     return float(params.theta @ x + params.betas[arm] @ z)
 
 
+def stack_observations(data):
+    """``(arm, x, z, y)`` observations as the fit's arrays ``arms, xs, zs, ys``, one row each."""
+    arms, xs, zs, ys = zip(*data)
+    return np.array(arms), *(np.array(a, dtype=float) for a in (xs, zs, ys))
+
+
 def flat_params(params) -> np.ndarray:
     """(theta, beta_1, ..., beta_K) as one vector, in the layout of :func:`dense_embed`."""
     return np.concatenate([params.theta, params.betas.ravel()])

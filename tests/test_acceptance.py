@@ -39,6 +39,7 @@ from oracles import (
     flat_estimate,
     hermitian_dilation,
     mean_reward,
+    stack_observations,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -365,7 +366,7 @@ def test_09_parameter_recovery():
         shown = int(rng.integers(k))
         x, z = build_features(user, arms[shown])
         data.append((shown, x, z, mean_reward(planted, shown, x, z)))
-    fit = hybrid_least_squares(data, n_arms=k, ridge=1e-8)
+    fit = hybrid_least_squares(*stack_observations(data), n_arms=k, ridge=1e-8)
     theta_err = float(np.linalg.norm(fit.params.theta - planted.theta))
     counts = np.bincount([d[0] for d in data], minlength=k)
     beta_errs = [

@@ -198,6 +198,7 @@ class TestRun:
          ([*SMALL, "--delta", "2"], "delta"),
          ([*SMALL, "--scale", "nan"], "scale"),
          ([*SMALL, "--algos", "linucb,suplinucb"], "algos"),
+         ([*SMALL, "--algos", "linucb,linucb"], "algos"),
          ([*SMALL, "--setting", "4"], "setting"),
          (["--setting", "3", "--k-grid", "3,x", "--T", "5"], "k_grid"),
          (["--setting", "1", "--k-grid", "10,20", "--scale", "0.002"], "k_grid"),
@@ -205,7 +206,8 @@ class TestRun:
          (["--setting", "3", "--K", "7", "--T", "5"], "K"),
          (["--setting", "1", "--scale", "0.00001"], "T")],
         ids=["threads_zero", "threads_negative", "trace_stride_zero", "noise_std_negative",
-             "noise_std_nan", "delta_two", "scale_nan", "algos_unknown", "setting_four",
+             "noise_std_nan", "delta_two", "scale_nan", "algos_unknown", "algos_repeated",
+             "setting_four",
              "k_grid_not_integers", "k_grid_setting_1", "k_grid_custom", "K_with_setting_3",
              "T_scaled_below_two"],
     )
@@ -323,6 +325,18 @@ class TestDiagnose:
         assert run_cli("diagnose", *SMALL, *args, "--out-dir", str(tmp_path)) == 2
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_k_sweep_exits_2_before_running(self, tmp_path, capsys):
+        # a sweep would report the first K's constants over every K's runs
+        rc = run_cli(
+            "diagnose", "--setting", "3", "--k-grid", "3,40", "--T", "200", "--n-envs", "1",
+            "--n-trials", "1", "--algos", "hylinucb", "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "one K per call" in captured.err and "k_grid=[3, 40]" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.glob("*.csv"))
 
@@ -476,7 +490,7 @@ class TestReplay:
     @pytest.mark.parametrize(
         "flag, value",
         [("--noise-std", "-1"), ("--noise-std", "inf"), ("--delta", "1"), ("--delta", "nan"),
-         ("--n-trials", "0")],
+         ("--n-trials", "0"), ("--algos", "linucb,linucb")],
     )
     def test_bad_flag_value_exits_2_before_reading_log(self, flag, value, tmp_path, capsys):
         rc = run_cli("replay", "--log", str(tmp_path / "none.jsonl"), flag, value,

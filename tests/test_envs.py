@@ -12,7 +12,7 @@ from hybandit.envs import (
 )
 from hybandit.harness import Environment, run_trial, synthetic_environment
 
-from oracles import dense_embed, dense_ridge, mean_reward
+from oracles import dense_embed, dense_ridge, mean_reward, stack_observations
 from test_model import random_params
 
 
@@ -114,7 +114,7 @@ class TestHybridLeastSquares:
             (int(rng.integers(3)), rng.standard_normal(3) / 2, rng.standard_normal(2) / 2, 0.0)
             for _ in range(50)
         ]
-        fit = hybrid_least_squares(data, n_arms=3, ridge=1e-6)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=3, ridge=1e-6)
         assert np.max(np.abs(fit.params.theta)) < 1e-12
         assert np.max(np.abs(fit.params.betas)) < 1e-12
         assert fit.fit_residual == pytest.approx(0.0, abs=1e-18)
@@ -127,7 +127,7 @@ class TestHybridLeastSquares:
             x = sample_unit_ball(rng, 4)
             z = sample_unit_ball(rng, 3)
             data.append((i, x, z, mean_reward(params, i, x, z)))
-        fit = hybrid_least_squares(data, n_arms=5, ridge=1e-8)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=5, ridge=1e-8)
         assert np.linalg.norm(fit.params.theta - params.theta) <= 1e-6
         counts = np.bincount([d[0] for d in data], minlength=5)
         for i in range(5):
@@ -142,7 +142,7 @@ class TestHybridLeastSquares:
             data.append((0, x, z, y))
             rows.append(np.concatenate([x, z]))
             ys.append(y)
-        fit = hybrid_least_squares(data, n_arms=1, ridge=0.5)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=1, ridge=0.5)
         ref = dense_ridge(np.array(rows), np.array(ys), 0.5)
         got = np.concatenate([fit.params.theta, fit.params.betas[0]])
         assert np.max(np.abs(got - ref)) < 1e-9
@@ -155,7 +155,7 @@ class TestHybridLeastSquares:
             i = int(rng.choice([0, 0, 0, 1, 2, 4]))
             x, z = rng.standard_normal(d1) / 2, rng.standard_normal(d2) / 2
             data.append((i, x, z, float(rng.standard_normal())))
-        fit = hybrid_least_squares(data, n_arms=k, ridge=ridge)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=k, ridge=ridge)
         rows = np.stack([dense_embed(i, x, z, k) for i, x, z, _ in data])
         ys = np.array([y for *_, y in data])
         ref = dense_ridge(rows, ys, ridge)
@@ -168,7 +168,7 @@ class TestHybridLeastSquares:
         data = [(0, rng.standard_normal(3), rng.standard_normal(2), 1.0) for _ in range(5)]
         data[3] = (1, np.array([0.1, np.nan, 0.2]), rng.standard_normal(2), 1.0)
         with pytest.raises(ValueError, match="finite"):
-            hybrid_least_squares(data, n_arms=2)
+            hybrid_least_squares(*stack_observations(data), n_arms=2)
 
     def test_objective_beats_zero_params(self, rng):
         ridge = 1e-3
@@ -181,7 +181,7 @@ class TestHybridLeastSquares:
             )
             for _ in range(60)
         ]
-        fit = hybrid_least_squares(data, n_arms=3, ridge=ridge)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=3, ridge=ridge)
         phi = np.concatenate([fit.params.theta, fit.params.betas.ravel()])
         objective = fit.fit_residual + ridge * float(phi @ phi)
         zero_objective = sum(y * y for *_, y in data)
@@ -190,11 +190,11 @@ class TestHybridLeastSquares:
     def test_ridge_zero_needs_flag(self, rng):
         data = [(0, rng.standard_normal(2), rng.standard_normal(2), 1.0)]
         with pytest.raises(ValueError):
-            hybrid_least_squares(data, n_arms=1, ridge=0.0)
+            hybrid_least_squares(*stack_observations(data), n_arms=1, ridge=0.0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            hybrid_least_squares([], n_arms=1)
+            hybrid_least_squares([], np.zeros((0, 2)), np.zeros((0, 2)), [], n_arms=1)
 
 
 class TestDumpEnvironment:

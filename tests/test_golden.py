@@ -23,15 +23,23 @@ floating-point arithmetic changes, so every numeric column is compared at
 rel 1e-9 against a file recorded with the cyclic-Jacobi eigensolver that
 preceded the closed-form spectral diagnostics, and NaNs must sit in the same
 places.
+
+The ``replay`` case runs the semi-synthetic protocol on a click log that
+the test writes from a fixed numpy seed.  It pins ``replay_regret.csv``
+like a ``run`` case, and compares ``replay_relative.csv`` at every 50th
+round at rel 1e-9 too.  So the fit, the feature scaling and the context
+stream cannot move an arm or a learned mean reward unnoticed.
 """
 
 import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybandit.cli import main
+from hybandit.replay import ReplayRecord, write_replay_log
 
 GOLDEN = Path(__file__).parent / "golden"
 REL = 1e-9
@@ -116,3 +124,48 @@ def test_diagnostics_within_tolerance(tmp_path):
                 assert a == pytest.approx(b, rel=1e-9, abs=0.0), (row[:4], header[j])
     # dislinucb rows carry no sandwich spectrum; every other value is finite
     assert n_finite == 32 * len(numeric) - 16 * 2
+
+
+REPLAY_ARGV = [
+    "replay", "--train-n", "300", "--T", "400", "--n-trials", "2", "--seed", "14",
+]
+REPLAY_ARM_DIGEST = "b0fb6c12d87df703c334bf0ba8d5428b6713c0ad71b0226a20935c51f97c0b09"
+
+
+def _write_click_log(path, n=800, n_arms=4, du=3, dv=3):
+    """Write a fixed click log; clicks follow a planted bilinear model.
+
+    Users and arms are uniform in the cube [-1, 1], so both norm scales divide.
+    """
+    rng = np.random.default_rng(15)
+    users = rng.uniform(-1.0, 1.0, (n, du))
+    arms = rng.uniform(-1.0, 1.0, (n, n_arms, dv))
+    shown = rng.integers(0, n_arms, n)
+    shown_arms = arms[np.arange(n), shown]
+    bilinear = np.einsum("nd,nd->n", users, shown_arms)
+    clicks = rng.random(n) < np.clip(0.5 + 0.2 * bilinear + 0.1 * shown_arms[:, 0], 0, 1)
+    records = [ReplayRecord(u, a, int(s), int(c)) for u, a, s, c in zip(users, arms, shown, clicks)]
+    write_replay_log(path, records)
+
+
+def test_replay_outputs(tmp_path):
+    log = tmp_path / "log.jsonl"
+    _write_click_log(log)
+    assert main([*REPLAY_ARGV, "--log", str(log), "--out-dir", str(tmp_path)]) == 0
+
+    header, rows = _read_csv(tmp_path / "replay_regret.csv")
+    assert len(rows) == 3 * 2 * 400
+    arms = "".join(",".join([*row[:4], row[5]]) + "\n" for row in [header, *rows])
+    assert hashlib.sha256(arms.encode()).hexdigest() == REPLAY_ARM_DIGEST
+
+    ref_header, ref = _read_csv(GOLDEN / "replay_regret_every50.csv")
+    assert header == ref_header
+    checked = [row for row in rows if int(row[3]) % CHECKED_EVERY == 0]
+    _assert_rows_close(checked, ref, exact=(0, 1, 2, 3, 5), close=(4,))
+
+    header, rows = _read_csv(tmp_path / "replay_relative.csv")
+    ref_header, ref = _read_csv(GOLDEN / "replay_relative_every50.csv")
+    assert header == ref_header
+    assert len(rows) == 3 * 400
+    checked = [row for row in rows if int(row[1]) % CHECKED_EVERY == 0]
+    _assert_rows_close(checked, ref, exact=(0, 1), close=(2, 3))

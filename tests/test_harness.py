@@ -52,6 +52,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("custom", ("suplinucb",), 3, 2, 2, 10)
 
+    def test_repeated_algo_rejected(self):
+        # a repeated name would run the same traces twice and count them as trials
+        with pytest.raises(ValueError, match="distinct"):
+            experiment_spec("custom", algos=("linucb", "linucb"), d1=3, d2=2, n_arms=2, T=10)
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
         # zero pool groups would run nothing and return no traces
@@ -256,6 +261,7 @@ class TestRunExperiment:
         assert len(result.traces) == 1
         assert result.traces[0].final_regret == 0.0
         assert result.summary[0].mean_final_regret == 0.0
+        assert result.curves["oracle"].n_trials == 1
 
     def test_k_grid_summary_rows(self):
         spec = experiment_spec(
@@ -269,6 +275,8 @@ class TestRunExperiment:
         result = run_experiment(spec)
         keys = {(row.algo, row.n_arms) for row in result.summary}
         assert keys == {("linucb", 2), ("linucb", 3), ("dislinucb", 2), ("dislinucb", 3)}
+        # a sweep's traces of different K are no one curve's trials
+        assert result.curves == {}
 
     def test_parallel_equals_serial(self):
         custom = dict(algos=("linucb", "hylinucb"), d1=3, d2=2, n_arms=3, T=60, n_envs=2, n_trials=2)

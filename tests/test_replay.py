@@ -8,7 +8,6 @@ from hybandit.harness import Environment, run_trial
 from hybandit.replay import (
     ReplayLogError,
     ReplayRecord,
-    _norm_scales,
     build_features,
     parse_replay_log,
     semi_synthetic_environment,
@@ -16,7 +15,7 @@ from hybandit.replay import (
 )
 from hybandit.rng import stream
 
-from oracles import mean_reward
+from oracles import mean_reward, stack_observations
 
 
 def synth_records(seed, n, n_arms=5, du=3, dv=3, params=None):
@@ -222,7 +221,7 @@ class TestSemiSyntheticEnvironment:
         for rec in records:
             x, z = build_features(rec.user, rec.arms[rec.displayed])
             data.append((rec.displayed, x, z, mean_reward(planted, rec.displayed, x, z)))
-        fit = hybrid_least_squares(data, n_arms=4, ridge=1e-8)
+        fit = hybrid_least_squares(*stack_observations(data), n_arms=4, ridge=1e-8)
         assert np.linalg.norm(fit.params.theta - planted.theta) < 1e-5
         assert np.max(np.abs(fit.params.betas - planted.betas)) < 1e-4
 
@@ -235,10 +234,9 @@ class TestSemiSyntheticEnvironment:
         assert len(trace.cum_regret) == 100
 
     @pytest.mark.parametrize("du, dv", [(3, 3), (4, 5), (7, 2)])
-    def test_norm_scales_match_per_record_loop(self, monkeypatch, du, dv):
+    def test_norm_scales_match_per_record_loop(self, du, dv):
         # Bit-for-bit: the scales divide every feature.  Norms above 1 keep the
-        # floor from hiding a difference; 40 logs of 30 records span 5 chunks each.
-        monkeypatch.setattr("hybandit.replay.FIT_CHUNK", 7)
+        # floor from hiding a difference.
         rng = np.random.default_rng(du * 10 + dv)
         for _ in range(40):
             records = [
@@ -252,25 +250,26 @@ class TestSemiSyntheticEnvironment:
             ]
             user_max = max(float(np.linalg.norm(r.user)) for r in records)
             arm_max = max(float(np.max(np.linalg.norm(r.arms, axis=1))) for r in records)
-            assert _norm_scales(records) == (max(1.0, user_max), max(1.0, arm_max))
+            _, ctxs = semi_synthetic_environment(records, 1)
+            assert (ctxs.user_scale, ctxs.arm_scale) == (max(1.0, user_max), max(1.0, arm_max))
 
     def test_stacked_features_match_per_record_outer(self, monkeypatch):
-        # Bit-for-bit: one stacked build_features call gives the per-record
-        # np.outer training data, hence the same fit, and every replay round
-        # equals its per-arm np.outer stack.  Norms above 1 make both scales divide.
+        # Bit-for-bit: the stacked training arrays are the per-record np.outer
+        # rows, hence the same fit, and every replay round equals its per-arm
+        # np.outer stack.  Norms above 1 make both scales divide.
         records = [
             ReplayRecord(3.0 * r.user, 2.0 * r.arms, r.displayed, r.click)
             for r in synth_records(11, 1200, n_arms=4, du=4, dv=5)
         ]
         fitted = []
 
-        def recording_fit(data, **kwargs):
-            fitted.append(data)
-            return hybrid_least_squares(data, **kwargs)
+        def recording_fit(*arrays, **kwargs):
+            fitted.append(arrays)
+            return hybrid_least_squares(*arrays, **kwargs)
 
         monkeypatch.setattr("hybandit.replay.hybrid_least_squares", recording_fit)
         learned, ctxs = semi_synthetic_environment(records, 1000)
-        (data,) = fitted
+        ((arms, xs, zs, ys),) = fitted
         us, arm_s = ctxs.user_scale, ctxs.arm_scale
         assert us > 1.0 and arm_s > 1.0
         loop = [
@@ -278,11 +277,10 @@ class TestSemiSyntheticEnvironment:
              r.arms[r.displayed] / arm_s, float(r.click))
             for r in records[:1000]
         ]
-        assert len(data) == len(loop)
-        for (arm, x, z, y), (arm_l, x_l, z_l, y_l) in zip(data, loop):
-            assert arm == arm_l and y == y_l
-            assert np.array_equal(x, x_l) and np.array_equal(z, z_l)
-        ref = hybrid_least_squares(loop, n_arms=4, ridge=1e-6)
+        arms_l, xs_l, zs_l, ys_l = stack_observations(loop)
+        assert np.array_equal(arms, arms_l) and np.array_equal(ys, ys_l)
+        assert np.array_equal(xs, xs_l) and np.array_equal(zs, zs_l)
+        ref = hybrid_least_squares(arms_l, xs_l, zs_l, ys_l, n_arms=4, ridge=1e-6)
         assert np.array_equal(learned.params.theta, ref.params.theta)
         assert np.array_equal(learned.params.betas, ref.params.betas)
         assert learned.fit_residual == ref.fit_residual
