@@ -194,52 +194,48 @@ def validate_assumption(
 
 
 class PulledFeatureTracker:
-    """Accumulates the design blocks of the features a policy actually pulls.
-
-    Kept separate from the policy's own design so the diversity diagnostics
-    use a fixed unit ridge no matter which regularizer the policy runs with,
-    and so they exist for policies (like the oracle) that keep no design at
-    all.  Holds the unit-ridge blocks ``V`` (d1, d1), ``W`` (K, d2, d2) and
-    ``B`` (K, d1, d2) and the pull counts as plain arrays.  ``V`` stays
-    exactly symmetric: entry (i, j) of ``x x^T`` is the same product as
-    entry (j, i).
-    """
-
-    def __init__(self, d1: int, d2: int, n_arms: int):
-        self.V = np.eye(d1)
-        self.W = np.repeat(np.eye(d2)[None, :, :], n_arms, axis=0)
-        self.B = np.zeros((n_arms, d1, d2))
-        self.pull_counts = np.zeros(n_arms, dtype=np.int64)
+    """Unused, kept only because ``perfbench/spans.py`` looks up its ``record`` at install."""
 
     def record(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
-        """Add one pulled (arm, x, z): V += x x^T, W_arm += z z^T, B_arm += x z^T."""
-        self.V += np.outer(x, x)
-        self.W[arm] += np.outer(z, z)
-        self.B[arm] += np.outer(x, z)
-        self.pull_counts[arm] += 1
+        """Do nothing: the pulled blocks come from the design (:func:`unit_ridge_blocks`)."""
+
+
+def unit_ridge_blocks(policy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pulls' unit-ridge ``V = I + sum xx^T``, ``W_i = I + sum zz^T``, ``B_i = sum xz^T``.
+
+    Read off the ridge-lambda design: a shared policy's ``V - (lambda-1) I``,
+    ``W_i - (lambda-1) I``, ``B_i``; from DisLinUCB's [x, z] blocks ``W_k``,
+    ``I + sum_k (W_k[:d1, :d1] - lambda I)``, ``W_k[d1:, d1:] - (lambda-1) I``
+    and ``W_k[:d1, d1:]``.
+    """
+    design = policy.design
+    shift = design.ridge - 1.0
+    if isinstance(policy, DisjointLinearUCB):
+        d1, w = policy.config.d1, design.W
+        v = np.eye(d1) + np.sum(w[:, :d1, :d1] - design.ridge * np.eye(d1), axis=0)
+        return v, w[:, d1:, d1:] - shift * np.eye(design.d2 - d1), w[:, :d1, d1:]
+    return design.V - shift * np.eye(design.d1), design.W - shift * np.eye(design.d2), design.B
 
 
 def sample_diagnostics(
-    tracker: PulledFeatureTracker,
-    policy,
-    params: HybridParams | None,
-    round_index: int,
+    policy, params: HybridParams | None, round_index: int, tau: np.ndarray
 ) -> DiagnosticsSample:
-    """Take one spectral snapshot of a trial in flight.
+    """Take one spectral snapshot of a trial in flight; ``tau`` holds the per-arm pull counts.
 
-    The diversity quantities come from the tracker, each as one batched
-    LAPACK call: lambda_min(V) from ``eigvalsh``, lambda_min(W_i) from one
-    ``eigvalsh`` over the (K, d2, d2) stack and sigma_max(B_i) from one
-    ``svd`` over the (K, d1, d2) stack.  The sandwich spectrum comes in
-    closed form from the shared policy's own design
-    (:meth:`BlockDesign.sandwich_spectrum`; NaN for DisLinUCB, whose design
-    has no shared block, and for the oracle); the
-    confidence residual from whichever estimator the policy maintains (NaN
-    for the oracle, or when true parameters are unavailable).
+    The diversity quantities come from the unit-ridge blocks derived from
+    ``policy.design`` (:func:`unit_ridge_blocks`; a shared policy's
+    ``V - (lambda-1) I``, ``W_i - (lambda-1) I``, ``B_i``), each as one
+    batched LAPACK call: ``eigvalsh`` of V, ``eigvalsh`` of the W stack and
+    ``svd`` of the B stack.  The sandwich spectrum comes in closed form from
+    the shared policy's own design (:meth:`BlockDesign.sandwich_spectrum`;
+    NaN for DisLinUCB, whose design has no shared block, and for the oracle);
+    the confidence residual from whichever estimator the policy maintains
+    (NaN for the oracle, or when true parameters are unavailable).
     """
-    lam_v = float(np.linalg.eigvalsh(tracker.V)[0])
-    lam_w = np.linalg.eigvalsh(tracker.W)[:, 0]
-    sig_b = np.linalg.svd(tracker.B, compute_uv=False)[:, 0]
+    v, w, b = unit_ridge_blocks(policy)
+    lam_v = float(np.linalg.eigvalsh(v)[0])
+    lam_w = np.linalg.eigvalsh(w)[:, 0]
+    sig_b = np.linalg.svd(b, compute_uv=False)[:, 0]
     if isinstance(policy, SharedLinearUCB) and not isinstance(policy, DisjointLinearUCB):
         smin, smax = policy.design.sandwich_spectrum()
     else:
@@ -254,7 +250,7 @@ def sample_diagnostics(
         lambda_min_V=lam_v,
         lambda_min_W=lam_w,
         sigma_max_B=sig_b,
-        tau=tracker.pull_counts.copy(),
+        tau=tau,
         sandwich_min=smin,
         sandwich_max=smax,
         conf_residual=residual,

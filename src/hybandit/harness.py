@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .diagnostics import DiagnosticsTrace, PulledFeatureTracker, sample_diagnostics
+from .diagnostics import DiagnosticsTrace, sample_diagnostics
 from .envs import SyntheticEnvConfig, generate_environment
 from .model import HybridParams, mean_rewards
 from .policies import (
@@ -176,9 +176,10 @@ def run_traces(
     same context sequence.  Each run keeps its own policy, reward noise from
     the (env_seed, trial) stream (drawn once per round independently of the
     chosen arm) and regret trace, so its outputs do not depend on which runs
-    share the loop.  With ``diagnostics_every`` > 0 a run also records every
-    pulled feature and snapshots the design spectra, the sandwich spectrum
-    included, every ``diagnostics_every`` rounds (see :func:`sample_diagnostics`).
+    share the loop.  With ``diagnostics_every`` > 0 a run snapshots its design
+    spectra every ``diagnostics_every`` rounds (:func:`sample_diagnostics`): the
+    diversity blocks derived from ``policy.design`` (a shared policy's
+    ``V - (lambda-1) I``, ``W_i - (lambda-1) I``, ``B_i``), pull counts from ``chosen``.
     Returns one ``(trace, diagnostics or None)`` pair per run, in order.
     """
     if not env.noise_std >= 0:
@@ -198,27 +199,25 @@ def run_traces(
         trace = RegretTrace(
             algo, env.env_id, trial, env.env_seed, np.empty(T), np.empty(T, dtype=np.int64)
         )
-        tracker = diag = None
+        diag = None
         if diagnostics_every > 0:
-            tracker = PulledFeatureTracker(p.d1, p.d2, p.n_arms)
             diag = DiagnosticsTrace(algo, env.env_id, trial, p.n_arms, p.d1, p.d2)
-        states.append((policy, noise, trace, tracker, diag))
+        states.append((policy, noise, trace, diag))
     for t in range(T):
         ctx = env.contexts.round(t)
         means = mean_rewards(p, ctx)
         best = float(np.max(means))
-        for policy, noise, trace, tracker, diag in states:
+        for policy, noise, trace, diag in states:
             arm = policy.select_arm(ctx)
             x, z = ctx.arm(arm)
             policy.update(arm, x, z, float(means[arm] + noise[t]))
             before = trace.cum_regret[t - 1] if t else 0.0
             trace.cum_regret[t] = before + max(0.0, best - float(means[arm]))
             trace.chosen[t] = arm
-            if tracker is not None:
-                tracker.record(arm, x, z)
-                if (t + 1) % diagnostics_every == 0:
-                    diag.samples.append(sample_diagnostics(tracker, policy, p, t + 1))
-    return [(trace, diag) for _, _, trace, _, diag in states]
+            if diag is not None and (t + 1) % diagnostics_every == 0:
+                tau = np.bincount(trace.chosen[: t + 1], minlength=p.n_arms)
+                diag.samples.append(sample_diagnostics(policy, p, t + 1, tau))
+    return [(trace, diag) for _, _, trace, diag in states]
 
 
 def run_trial(

@@ -86,13 +86,6 @@ class SymPosDef:
         self.entries = symmetrize(self.entries)
         self.inv_entries = symmetrize(np.linalg.inv(self.entries))
 
-    def quad_form_inv(self, v: np.ndarray) -> float:
-        """Return ``v^T A^{-1} v`` (clamped to be nonnegative)."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of shape ({self.dim},), got {v.shape}")
-        return max(0.0, float(v @ self.inv_entries @ v))
-
 
 class BlockDesign:
     """Regularized design matrix of the hybrid problem, held in block form.
@@ -190,7 +183,7 @@ class BlockDesign:
             raise ValueError("an arm block W_i is not positive definite") from exc
         self.W_inv = symmetrize(np.linalg.inv(self.W))
         self.C = self.B @ self.W_inv
-        v_eff = symmetrize(self.V - np.einsum("kab,kcb->ac", self.C, self.B))
+        v_eff = symmetrize(self.V - self.schur_sum())
         try:
             chol = np.linalg.cholesky(v_eff)
         except np.linalg.LinAlgError as exc:
@@ -199,6 +192,12 @@ class BlockDesign:
             ) from exc
         chol_inv = np.linalg.inv(chol)
         self.F = symmetrize(chol_inv.T @ chol_inv)
+
+    def schur_sum(self) -> np.ndarray:
+        """``sum_i C_i B_i^T``: one matmul of (d1, K d2) reshapes, row a ``[X_1[a] .. X_K[a]]``."""
+        k_d2 = self.n_arms * self.d2
+        c, b = (m.transpose(1, 0, 2).reshape(self.d1, k_d2) for m in (self.C, self.B))
+        return c @ b.T
 
     def solve_blocks(
         self, b_shared: np.ndarray, b_arms: np.ndarray
@@ -285,17 +284,16 @@ class BlockDesign:
             sigma_max(G)^2 = lambda_max(G G^T) = lambda_max(V^{-1/2} S V^{-1/2}),
             S = sum_i B_i W_i^{-1} B_i^T = sum_i C_i B_i^T.
 
-        That costs one einsum over the ``C`` stack and two d1 x d1 symmetric
+        That costs one matmul (:meth:`schur_sum`) and two d1 x d1 symmetric
         eigensolves (V^{-1/2} from one of V), O(d1^3 + K d1^2 d2), instead of
         a dense (d1 + d2 K)-dimensional eigenproblem.  Returns (1, 1) exactly
         when all cross blocks vanish.
         """
         if not np.any(self.B):
             return (1.0, 1.0)
-        s = np.einsum("kab,kcb->ac", self.C, self.B)
         w, q = np.linalg.eigh(self.V)
         v_inv_half = (q / np.sqrt(w)) @ q.T
-        lam = float(np.linalg.eigvalsh(symmetrize(v_inv_half @ s @ v_inv_half))[-1])
+        lam = float(np.linalg.eigvalsh(symmetrize(v_inv_half @ self.schur_sum() @ v_inv_half))[-1])
         sigma = math.sqrt(max(0.0, lam))
         return 1.0 - sigma, 1.0 + sigma
 

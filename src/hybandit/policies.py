@@ -194,16 +194,17 @@ class DisjointLinearUCB(SharedLinearUCB):
 
 
 class OraclePolicy:
-    """Zero-regret reference: always plays an arm with the best mean reward."""
+    """Zero-regret reference: plays a best-mean arm; its unit-ridge ``design`` feeds diagnostics."""
 
     def __init__(self, params: HybridParams):
         self.params = params
+        self.design = BlockDesign(params.d1, params.d2, params.n_arms, 1.0)
 
     def select_arm(self, ctx: ContextRound) -> int:
         return int(np.argmax(mean_rewards(self.params, ctx)))
 
     def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
-        pass
+        self.design.block_update(arm, x, z)
 
 
 def make_policy(config: PolicyConfig):

@@ -615,7 +615,7 @@ COMMANDS = ("gen-env", "run", "diagnose", "replay", "summarize")
 
 
 def test_readme_key_table_mirrors_keys():
-    """README's key table has one row per key: its flag, type and the commands that read it."""
+    """README's key table has one row per key: flag, type, range and the commands that read it."""
     lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("| key | flag |"))
     header = [c.strip() for c in lines[start].strip("|").split("|")]
@@ -628,8 +628,9 @@ def test_readme_key_table_mirrors_keys():
         rows[cells[0].strip("`")] = cells
     assert sorted(rows) == sorted(key.name for key in KEYS)
     for key in KEYS:
-        _, flag, kind, _, *defaults = rows[key.name]
+        _, flag, kind, allowed, *defaults = rows[key.name]
         assert flag.strip("`") == (key.flag or "—"), key.name
         assert kind == key.kind, key.name
+        assert key.range.removeprefix("of ") in allowed, key.name
         assert [d != "—" for d in defaults] == [c in key.defaults for c in COMMANDS], key.name
 

@@ -7,12 +7,12 @@ import pytest
 from hybandit.diagnostics import (
     DiagnosticsSample,
     DiagnosticsTrace,
-    PulledFeatureTracker,
     confidence_residual,
     shared_confidence_residual,
     sample_diagnostics,
     theory_constants,
     unit_ball_diversity,
+    unit_ridge_blocks,
     validate_assumption,
 )
 from hybandit.envs import SyntheticEnvConfig, sample_unit_ball
@@ -22,8 +22,10 @@ from hybandit.policies import (
     DISLINUCB,
     LINUCB,
     DisjointLinearUCB,
+    OraclePolicy,
     PolicyConfig,
     SharedLinearUCB,
+    make_policy,
 )
 
 from oracles import assemble_dense, check_elliptic_potential, flat_estimate, flat_params
@@ -243,61 +245,84 @@ class TestValidateAssumption:
             validate_assumption(DiagnosticsTrace("x", 0, 0, 2, 3, 2), 0.1)
 
 
+DIVERSITY_ALGOS = ("linucb", "hylinucb", "dislinucb", "oracle")
+
+
+def pulled(algo, rng, d1, d2, n_arms, arms):
+    """A fresh ``algo`` policy fed one pull per entry of ``arms``, and the dense unit-ridge blocks.
+
+    The features are unit-ball draws; the oracle's parameters are random,
+    since only its design is read.
+    """
+    if algo == "oracle":
+        policy = OraclePolicy(random_params(rng, d1, d2, n_arms))
+    else:
+        policy = make_policy(PolicyConfig.create(algo, d1=d1, d2=d2, n_arms=n_arms, S=1.0, T=100))
+    v, w, b = np.eye(d1), np.repeat(np.eye(d2)[None], n_arms, axis=0), np.zeros((n_arms, d1, d2))
+    xs, zs = sample_unit_ball(rng, d1, len(arms)), sample_unit_ball(rng, d2, len(arms))
+    for arm, x, z in zip(arms, xs, zs):
+        policy.update(int(arm), x, z, 0.5)
+        v += np.outer(x, x)
+        w[arm] += np.outer(z, z)
+        b[arm] += np.outer(x, z)
+    return policy, (v, w, b)
+
+
 class TestSampleDiagnostics:
-    def recorded_tracker(self, rng, d1, d2, n_arms, n):
-        tracker = PulledFeatureTracker(d1, d2, n_arms)
-        for _ in range(n):
-            tracker.record(
-                int(rng.integers(n_arms)), sample_unit_ball(rng, d1), sample_unit_ball(rng, d2)
-            )
-        return tracker
+    def test_derived_blocks_match_dense_accumulation(self, rng):
+        for algo in DIVERSITY_ALGOS:
+            policy, dense = pulled(algo, rng, 3, 2, 4, rng.integers(4, size=50))
+            for got, want in zip(unit_ridge_blocks(policy), dense):
+                assert got.shape == want.shape, algo
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), algo
 
-    def test_tracker_blocks_match_dense_accumulation(self, rng):
-        d1, d2, n_arms = 3, 2, 4
-        tracker = PulledFeatureTracker(d1, d2, n_arms)
-        v, w, b = np.eye(d1), np.repeat(np.eye(d2)[None], n_arms, axis=0), np.zeros((n_arms, d1, d2))
-        for _ in range(50):
-            arm, x, z = int(rng.integers(n_arms)), sample_unit_ball(rng, d1), sample_unit_ball(rng, d2)
-            tracker.record(arm, x, z)
-            v += np.outer(x, x)
-            w[arm] += np.outer(z, z)
-            b[arm] += np.outer(x, z)
-        assert np.allclose(tracker.V, v, atol=1e-12)
-        assert np.allclose(tracker.W, w, atol=1e-12)
-        assert np.allclose(tracker.B, b, atol=1e-12)
-        assert tracker.pull_counts.sum() == 50
-
-    def test_tracker_v_exact_past_10000_records(self, rng):
-        # V stays exactly symmetric, so it needs no periodic re-symmetrization
-        d1, d2, n_arms, n = 4, 2, 3, 10_001
-        tracker = PulledFeatureTracker(d1, d2, n_arms)
-        xs, zs = sample_unit_ball(rng, d1, n), sample_unit_ball(rng, d2, n)
-        v = np.eye(d1)
-        for s in range(n):
-            tracker.record(s % n_arms, xs[s], zs[s])
-            v += np.outer(xs[s], xs[s])
-        assert np.array_equal(tracker.V, v)
-        assert np.array_equal(tracker.V, tracker.V.T)
-        sample = sample_diagnostics(tracker, None, None, n)
-        assert sample.lambda_min_V == np.linalg.eigvalsh(v)[0]
+    def test_derived_blocks_match_dense_past_10000_updates(self, rng):
+        # Update 10,000 refreshes the design, so update 10,001 follows a refresh.
+        # Every entry of the design and of the dense blocks is a recursive sum of
+        # at most n + 1 terms: the ridge (at most lambda = K) and n products of
+        # unit-ball coordinates (each at most 1 in size).  Recursive summation of
+        # m terms errs by at most (m - 1) u sum|terms| (Higham, "Accuracy and
+        # Stability of Numerical Algorithms", 2nd ed., eq. 4.4), so the two sums
+        # differ by at most 2 n u (n + K).  The (lambda - 1) I shift and
+        # DisLinUCB's sum over its K arms round at most K + 2 more times at that
+        # size, which a third n u (n + K) covers.
+        n_arms, n = 3, 10_001
+        tol = 3 * n * np.finfo(float).eps * (n + n_arms)
+        arms = np.arange(n) % n_arms
+        for algo in DIVERSITY_ALGOS:
+            policy, dense = pulled(algo, rng, 4, 2, n_arms, arms)
+            derived = unit_ridge_blocks(policy)
+            for got, want in zip(derived, dense):
+                assert np.allclose(got, want, rtol=0.0, atol=tol), algo
+            if algo in ("linucb", "oracle"):
+                # lambda = 1 in the shared layout: the same sums in the same order, and
+                # the refresh's symmetrization leaves an exactly symmetric V as it is
+                assert all(np.array_equal(got, want) for got, want in zip(derived, dense)), algo
+                assert np.array_equal(derived[0], derived[0].T), algo
+                sample = sample_diagnostics(policy, None, n, np.bincount(arms))
+                assert sample.lambda_min_V == np.linalg.eigvalsh(dense[0])[0], algo
 
     def test_batched_spectra_match_per_arm_loops(self, rng):
-        tracker = self.recorded_tracker(rng, 4, 3, 5, 200)
-        sample = sample_diagnostics(tracker, None, None, 200)
-        lam_w = [np.linalg.eigvalsh(w)[0] for w in tracker.W]
-        sig_b = [np.linalg.svd(b, compute_uv=False)[0] for b in tracker.B]
-        assert np.allclose(sample.lambda_min_W, lam_w, rtol=1e-12, atol=0.0)
-        assert np.allclose(sample.sigma_max_B, sig_b, rtol=1e-12, atol=0.0)
-        assert sample.lambda_min_V == pytest.approx(np.linalg.eigvalsh(tracker.V)[0], rel=1e-12)
-        assert math.isnan(sample.sandwich_min) and math.isnan(sample.conf_residual)
+        arms = rng.integers(5, size=200)
+        tau = np.bincount(arms, minlength=5)
+        for algo in DIVERSITY_ALGOS:
+            policy, (v, w, b) = pulled(algo, rng, 4, 3, 5, arms)
+            sample = sample_diagnostics(policy, None, 200, tau)
+            lam_w = [np.linalg.eigvalsh(wi)[0] for wi in w]
+            sig_b = [np.linalg.svd(bi, compute_uv=False)[0] for bi in b]
+            assert np.allclose(sample.lambda_min_W, lam_w, rtol=1e-12, atol=0.0), algo
+            assert np.allclose(sample.sigma_max_B, sig_b, rtol=1e-12, atol=0.0), algo
+            assert sample.lambda_min_V == pytest.approx(np.linalg.eigvalsh(v)[0], rel=1e-12)
+            assert math.isnan(sample.sandwich_min) == (algo in ("dislinucb", "oracle")), algo
+            assert math.isnan(sample.conf_residual) and sample.tau is tau, algo
 
     def test_unpulled_arm_has_unit_eigenvalue_and_zero_cross_norm(self, rng):
-        tracker = PulledFeatureTracker(3, 2, 3)
-        tracker.record(1, sample_unit_ball(rng, 3), sample_unit_ball(rng, 2))
-        sample = sample_diagnostics(tracker, None, None, 1)
-        assert sample.sigma_max_B[0] == 0.0 and sample.sigma_max_B[2] == 0.0
-        assert sample.lambda_min_W[0] == pytest.approx(1.0, abs=1e-15)
-        assert list(sample.tau) == [0, 1, 0]
+        for algo in DIVERSITY_ALGOS:
+            policy, _ = pulled(algo, rng, 3, 2, 3, [1])
+            sample = sample_diagnostics(policy, None, 1, np.bincount([1], minlength=3))
+            assert sample.sigma_max_B[0] == 0.0 and sample.sigma_max_B[2] == 0.0, algo
+            assert sample.lambda_min_W[0] == pytest.approx(1.0, abs=1e-15), algo
+            assert list(sample.tau) == [0, 1, 0], algo
 
     def test_sandwich_sampled_above_dimension_64(self):
         # d1 + d2*K = 4 + 3*30 = 94: sampled with every diagnostics sample

@@ -182,6 +182,7 @@ class TestDiagnosticsRecompute:
             v = np.eye(3)
             w = [np.eye(2) for _ in range(4)]
             b = [np.zeros((3, 2)) for _ in range(4)]
+            counts = np.zeros(4, dtype=int)
             m = env.params  # params only set dims here
             dim = 3 + 2 * 4
             m_policy = np.eye(dim) * 4.0  # hylinucb ridge = K
@@ -194,10 +195,12 @@ class TestDiagnosticsRecompute:
                 v += np.outer(x, x)
                 w[arm] += np.outer(z, z)
                 b[arm] += np.outer(x, z)
+                counts[arm] += 1
                 xt = dense_embed(arm, x, z, 4)
                 m_policy += np.outer(xt, xt)
                 means = mean_rewards(env.params, ctx)
                 u_acc += float(means[arm] + noise[t]) * xt
+            assert list(s.tau) == list(counts)
             assert s.lambda_min_V == pytest.approx(
                 float(np.linalg.eigvalsh(v)[0]), rel=1e-6
             )

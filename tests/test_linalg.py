@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hybandit.diagnostics import PulledFeatureTracker, sample_diagnostics
+from hybandit.diagnostics import sample_diagnostics
 from hybandit.linalg import BlockDesign, SymPosDef, sym_eigenvalues
-from hybandit.policies import HYLINUCB, PolicyConfig, SharedLinearUCB
+from hybandit.policies import HYLINUCB, LINUCB, PolicyConfig, SharedLinearUCB
 
 from oracles import (
     SparseHybridVector,
@@ -433,10 +433,15 @@ class TestHermitianDilation:
 
 
 def max_singular_value(b):
-    """sigma_max of one matrix through the batched stack path of ``sample_diagnostics``."""
-    tracker = PulledFeatureTracker(b.shape[0], b.shape[1], 1)
-    tracker.B[0] = b
-    return float(sample_diagnostics(tracker, None, None, 1).sigma_max_B[0])
+    """sigma_max of one matrix through the batched stack path of ``sample_diagnostics``.
+
+    ``b`` is set as the one cross block of a one-arm LinUCB design (lambda = 1, so
+    the derived unit-ridge ``B`` is the design's own).
+    """
+    config = PolicyConfig.create(LINUCB, d1=b.shape[0], d2=b.shape[1], n_arms=1, S=1.0, T=2)
+    policy = SharedLinearUCB(config)
+    policy.design.B[0] = b
+    return float(sample_diagnostics(policy, None, 1, np.ones(1, dtype=int)).sigma_max_B[0])
 
 
 class TestMaxSingularValue:
