@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import HybridParams
-from .policies import (
-    ALGORITHMS,
-    DisjointLinearUCB,
-    SharedLinearUCB,
-    exploration_coefficient,
-)
+from .policies import ALGORITHMS, exploration_coefficient
 
 
 def unit_ball_diversity(d1: int, d2: int) -> float:
@@ -98,39 +93,6 @@ class DiagnosticsTrace:
         return np.array([s.round_index for s in self.samples], dtype=float)
 
 
-def shared_confidence_residual(policy: SharedLinearUCB, params: HybridParams) -> float:
-    """Design-weighted estimation error ``sqrt((phi_hat - phi*)^T M (phi_hat - phi*))``.
-
-    Computed through the blocks; never materializes M.
-    """
-    theta_hat, betas_hat = policy.estimates()
-    d0 = theta_hat - params.theta
-    darms = betas_hat - params.betas
-    design = policy.design
-    top = float(d0 @ design.V @ d0)
-    cross = 2.0 * float(d0 @ np.einsum("kab,kb->a", design.B, darms))
-    arms = float(np.einsum("ka,kab,kb->", darms, design.W, darms))
-    return math.sqrt(max(0.0, top + cross + arms))
-
-
-def disjoint_confidence_residual(policy: DisjointLinearUCB, params: HybridParams) -> float:
-    """Worst per-arm design-weighted error of the disjoint models' [theta*, beta*_i] estimates."""
-    targets = np.hstack([np.broadcast_to(params.theta, (params.n_arms, params.d1)), params.betas])
-    d = policy.estimates()[1] - targets
-    return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, policy.design.W, d)))))
-
-
-def confidence_residual(policy: SharedLinearUCB, params: HybridParams) -> float:
-    """Design-weighted error of the policy's estimate against the true parameters.
-
-    Compared with the policy's exploration coefficient ``gamma``, it tells
-    whether the true parameters lie in the confidence set (synthetic runs only).
-    """
-    if isinstance(policy, DisjointLinearUCB):
-        return disjoint_confidence_residual(policy, params)
-    return shared_confidence_residual(policy, params)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Least-squares growth rates of the design spectra plus bound checks."""
@@ -197,24 +159,7 @@ class PulledFeatureTracker:
     """Unused, kept only because ``perfbench/spans.py`` looks up its ``record`` at install."""
 
     def record(self, arm: int, x: np.ndarray, z: np.ndarray) -> None:
-        """Do nothing: the pulled blocks come from the design (:func:`unit_ridge_blocks`)."""
-
-
-def unit_ridge_blocks(policy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pulls' unit-ridge ``V = I + sum xx^T``, ``W_i = I + sum zz^T``, ``B_i = sum xz^T``.
-
-    Read off the ridge-lambda design: a shared policy's ``V - (lambda-1) I``,
-    ``W_i - (lambda-1) I``, ``B_i``; from DisLinUCB's [x, z] blocks ``W_k``,
-    ``I + sum_k (W_k[:d1, :d1] - lambda I)``, ``W_k[d1:, d1:] - (lambda-1) I``
-    and ``W_k[:d1, d1:]``.
-    """
-    design = policy.design
-    shift = design.ridge - 1.0
-    if isinstance(policy, DisjointLinearUCB):
-        d1, w = policy.config.d1, design.W
-        v = np.eye(d1) + np.sum(w[:, :d1, :d1] - design.ridge * np.eye(d1), axis=0)
-        return v, w[:, d1:, d1:] - shift * np.eye(design.d2 - d1), w[:, :d1, d1:]
-    return design.V - shift * np.eye(design.d1), design.W - shift * np.eye(design.d2), design.B
+        """Do nothing: the pulled blocks come from the policy (``policy.unit_ridge_blocks()``)."""
 
 
 def sample_diagnostics(
@@ -222,37 +167,25 @@ def sample_diagnostics(
 ) -> DiagnosticsSample:
     """Take one spectral snapshot of a trial in flight; ``tau`` holds the per-arm pull counts.
 
-    The diversity quantities come from the unit-ridge blocks derived from
-    ``policy.design`` (:func:`unit_ridge_blocks`; a shared policy's
-    ``V - (lambda-1) I``, ``W_i - (lambda-1) I``, ``B_i``), each as one
-    batched LAPACK call: ``eigvalsh`` of V, ``eigvalsh`` of the W stack and
-    ``svd`` of the B stack.  The sandwich spectrum comes in closed form from
-    the shared policy's own design (:meth:`BlockDesign.sandwich_spectrum`;
-    NaN for DisLinUCB, whose design has no shared block, and for the oracle);
-    the confidence residual from whichever estimator the policy maintains
-    (NaN for the oracle, or when true parameters are unavailable).
+    Every quantity is the policy's own answer about its state: the diversity
+    quantities come from ``policy.unit_ridge_blocks()`` (the pulls'
+    ``V = I + sum xx^T``, ``W_i = I + sum zz^T``, ``B_i = sum xz^T``), each
+    as one batched LAPACK call: ``eigvalsh`` of V, ``eigvalsh`` of the W
+    stack and ``svd`` of the B stack.  ``policy.sandwich_spectrum()`` is NaN
+    for DisLinUCB and the oracle; ``policy.confidence_residual(params)`` is
+    NaN for the oracle, and is not taken when ``params`` is None (true
+    parameters unavailable).
     """
-    v, w, b = unit_ridge_blocks(policy)
-    lam_v = float(np.linalg.eigvalsh(v)[0])
-    lam_w = np.linalg.eigvalsh(w)[:, 0]
-    sig_b = np.linalg.svd(b, compute_uv=False)[:, 0]
-    if isinstance(policy, SharedLinearUCB) and not isinstance(policy, DisjointLinearUCB):
-        smin, smax = policy.design.sandwich_spectrum()
-    else:
-        smin, smax = math.nan, math.nan
-    if params is not None and isinstance(policy, SharedLinearUCB):
-        residual = confidence_residual(policy, params)
-    else:
-        residual = math.nan
-    gamma = getattr(getattr(policy, "config", None), "gamma", math.nan)
+    v, w, b = policy.unit_ridge_blocks()
+    smin, smax = policy.sandwich_spectrum()
     return DiagnosticsSample(
         round_index=round_index,
-        lambda_min_V=lam_v,
-        lambda_min_W=lam_w,
-        sigma_max_B=sig_b,
+        lambda_min_V=float(np.linalg.eigvalsh(v)[0]),
+        lambda_min_W=np.linalg.eigvalsh(w)[:, 0],
+        sigma_max_B=np.linalg.svd(b, compute_uv=False)[:, 0],
         tau=tau,
         sandwich_min=smin,
         sandwich_max=smax,
-        conf_residual=residual,
-        conf_gamma=gamma,
+        conf_residual=math.nan if params is None else policy.confidence_residual(params),
+        conf_gamma=policy.gamma,
     )

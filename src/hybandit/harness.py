@@ -157,7 +157,6 @@ class RegretTrace:
     algo: str
     env_id: int
     trial_id: int
-    seed: int
     cum_regret: np.ndarray
     chosen: np.ndarray
 
@@ -177,9 +176,8 @@ def run_traces(
     the (env_seed, trial) stream (drawn once per round independently of the
     chosen arm) and regret trace, so its outputs do not depend on which runs
     share the loop.  With ``diagnostics_every`` > 0 a run snapshots its design
-    spectra every ``diagnostics_every`` rounds (:func:`sample_diagnostics`): the
-    diversity blocks derived from ``policy.design`` (a shared policy's
-    ``V - (lambda-1) I``, ``W_i - (lambda-1) I``, ``B_i``), pull counts from ``chosen``.
+    spectra every ``diagnostics_every`` rounds (:func:`sample_diagnostics`), from
+    what the policy reports of its own state and pull counts from ``chosen``.
     Returns one ``(trace, diagnostics or None)`` pair per run, in order.
     """
     if not env.noise_std >= 0:
@@ -196,9 +194,7 @@ def run_traces(
         noise = np.zeros(T)
         if env.noise_std > 0:
             noise = env.noise_std * stream(env.env_seed, trial, 0, "noise").standard_normal(T)
-        trace = RegretTrace(
-            algo, env.env_id, trial, env.env_seed, np.empty(T), np.empty(T, dtype=np.int64)
-        )
+        trace = RegretTrace(algo, env.env_id, trial, np.empty(T), np.empty(T, dtype=np.int64))
         diag = None
         if diagnostics_every > 0:
             diag = DiagnosticsTrace(algo, env.env_id, trial, p.n_arms, p.d1, p.d2)

@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "SymPosDef",
     "BlockDesign",
     "sym_eigenvalues",
 ]
@@ -42,49 +41,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 class SymPosDef:
-    """Unused one-matrix design, kept only because ``perfbench/spans.py`` looks it up at install.
-
-    ``BlockDesign(0, dim, 1, ridge)`` is the same single ridge matrix: a
-    symmetric positive definite matrix with an incrementally maintained
-    inverse, initialized as ``ridge * I`` (all eigenvalues stay >= ridge under
-    rank-one additions).  ``rank_one_update`` adds ``v v^T`` in O(dim^2) via
-    the Sherman-Morrison identity; the inverse is rebuilt from scratch every
-    ``INVERSE_REFRESH_EVERY`` updates.
-
-    Single-writer: instances may move between threads but must not be mutated
-    concurrently.
-    """
-
-    __slots__ = ("dim", "ridge", "entries", "inv_entries", "_updates")
-
-    def __init__(self, dim: int, ridge: float):
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        if ridge <= 0:
-            raise ValueError(f"ridge weight must be positive, got {ridge}")
-        self.dim = int(dim)
-        self.ridge = float(ridge)
-        self.entries = np.eye(self.dim) * self.ridge
-        self.inv_entries = np.eye(self.dim) / self.ridge
-        self._updates = 0
-
-    def rank_one_update(self, v: np.ndarray) -> None:
-        """Add ``v v^T`` to the matrix and apply the matching inverse update."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of shape ({self.dim},), got {v.shape}")
-        self.entries += np.outer(v, v)
-        w = self.inv_entries @ v
-        denom = 1.0 + float(v @ w)
-        self.inv_entries -= np.outer(w, w) / denom
-        self._updates += 1
-        if self._updates % INVERSE_REFRESH_EVERY == 0:
-            self.refresh()
+    """Unused, kept only because ``perfbench/spans.py`` looks up its ``refresh`` at install."""
 
     def refresh(self) -> None:
-        """Re-symmetrize and rebuild the inverse from the accumulated entries."""
-        self.entries = symmetrize(self.entries)
-        self.inv_entries = symmetrize(np.linalg.inv(self.entries))
+        """Do nothing: every policy's design is a :class:`BlockDesign`."""
 
 
 class BlockDesign:

@@ -9,6 +9,11 @@ features.  All three keep one :class:`BlockDesign` and score and update through
 it: the shared policies put x in the shared slot and z in the arm slot, while
 DisLinUCB puts [x, z] in the arm slot and leaves the shared block empty.
 
+Each policy, :class:`OraclePolicy` included, answers the diagnostics about its
+own state, so no other module knows its layout: ``unit_ridge_blocks()`` (the
+pulls' ``V = I + sum xx^T``, ``W_i = I + sum zz^T`` and ``B_i = sum xz^T``),
+``sandwich_spectrum()``, ``confidence_residual(params)`` and ``gamma``.
+
 All policies are deterministic: score ties break toward the lowest arm index.
 States are single-writer; one instance per trial.
 """
@@ -89,9 +94,6 @@ class PolicyConfig:
     d1: int
     d2: int
     n_arms: int
-    S: float
-    T: int
-    delta: float
     lam: float
     gamma: float
 
@@ -119,7 +121,7 @@ class PolicyConfig:
             if gamma is None
             else float(gamma)
         )
-        return cls(algo, d1, d2, n_arms, S, T, delta, lam_val, gamma_val)
+        return cls(algo, d1, d2, n_arms, lam_val, gamma_val)
 
 
 class SharedLinearUCB:
@@ -171,6 +173,35 @@ class SharedLinearUCB:
         self.u_shared += reward * x
         self.u_arms[arm] += reward * z
 
+    @property
+    def gamma(self) -> float:
+        """Exploration coefficient, the radius the confidence residual is checked against."""
+        return self.config.gamma
+
+    def unit_ridge_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pulls' unit-ridge blocks: ``V - (lambda-1) I``, ``W_i - (lambda-1) I``, ``B_i``."""
+        design, shift = self.design, self.design.ridge - 1.0
+        return design.V - shift * np.eye(design.d1), design.W - shift * np.eye(design.d2), design.B
+
+    def sandwich_spectrum(self) -> tuple[float, float]:
+        """Extreme eigenvalues of the design's block-diagonal sandwich, in closed form."""
+        return self.design.sandwich_spectrum()
+
+    def confidence_residual(self, params: HybridParams) -> float:
+        """Design-weighted estimation error ``sqrt((phi_hat - phi*)^T M (phi_hat - phi*))``.
+
+        Compared with ``gamma``, it tells whether the true parameters lie in
+        the confidence set.  Computed through the blocks; never materializes M.
+        """
+        theta_hat, betas_hat = self.estimates()
+        d0 = theta_hat - params.theta
+        darms = betas_hat - params.betas
+        design = self.design
+        top = float(d0 @ design.V @ d0)
+        cross = 2.0 * float(d0 @ np.einsum("kab,kb->a", design.B, darms))
+        arms = float(np.einsum("ka,kab,kb->", darms, design.W, darms))
+        return math.sqrt(max(0.0, top + cross + arms))
+
 
 class DisjointLinearUCB(SharedLinearUCB):
     """One independent ridge-UCB model per arm on the concatenated features.
@@ -192,19 +223,59 @@ class DisjointLinearUCB(SharedLinearUCB):
         """Features of the shared slot and of the arm slot: none and [x, z]."""
         return x[..., :0], np.concatenate([x, z], axis=-1)
 
+    def unit_ridge_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pulls' unit-ridge blocks, read off each arm's [x, z] Gram matrix ``W_k``.
+
+        ``I + sum_k (W_k[:d1, :d1] - lambda I)``, ``W_k[d1:, d1:] - (lambda-1) I``
+        and ``W_k[:d1, d1:]``.
+        """
+        d1, d2, ridge, w = self.config.d1, self.config.d2, self.design.ridge, self.design.W
+        v = np.eye(d1) + np.sum(w[:, :d1, :d1] - ridge * np.eye(d1), axis=0)
+        return v, w[:, d1:, d1:] - (ridge - 1.0) * np.eye(d2), w[:, :d1, d1:]
+
+    def sandwich_spectrum(self) -> tuple[float, float]:
+        """NaN: the design has no shared block to sandwich."""
+        return math.nan, math.nan
+
+    def confidence_residual(self, params: HybridParams) -> float:
+        """Worst per-arm design-weighted error of the [theta*, beta*_i] estimates."""
+        thetas = np.broadcast_to(params.theta, (params.n_arms, params.d1))
+        d = self.estimates()[1] - np.hstack([thetas, params.betas])
+        return math.sqrt(max(0.0, float(np.max(np.einsum("ka,kab,kb->k", d, self.design.W, d)))))
+
 
 class OraclePolicy:
-    """Zero-regret reference: plays a best-mean arm; its unit-ridge ``design`` feeds diagnostics."""
+    """Zero-regret reference: plays a best-mean arm and keeps only the sums of its pulls.
+
+    ``V = I + sum xx^T``, ``W_i = I + sum zz^T`` and ``B_i = sum xz^T`` are
+    what its diagnostics read; it has no estimate, so no sandwich spectrum,
+    confidence residual or ``gamma`` (all NaN).
+    """
+
+    gamma = math.nan
 
     def __init__(self, params: HybridParams):
         self.params = params
-        self.design = BlockDesign(params.d1, params.d2, params.n_arms, 1.0)
+        self.V = np.eye(params.d1)
+        self.W = np.repeat(np.eye(params.d2)[None], params.n_arms, axis=0)
+        self.B = np.zeros((params.n_arms, params.d1, params.d2))
 
     def select_arm(self, ctx: ContextRound) -> int:
         return int(np.argmax(mean_rewards(self.params, ctx)))
 
     def update(self, arm: int, x: np.ndarray, z: np.ndarray, reward: float) -> None:
-        self.design.block_update(arm, x, z)
+        self.W[arm] += np.outer(z, z)
+        self.V += np.outer(x, x)
+        self.B[arm] += np.outer(x, z)
+
+    def unit_ridge_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.V, self.W, self.B
+
+    def sandwich_spectrum(self) -> tuple[float, float]:
+        return math.nan, math.nan
+
+    def confidence_residual(self, params: HybridParams) -> float:
+        return math.nan
 
 
 def make_policy(config: PolicyConfig):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hybandit.cli import main as cli_main
-from hybandit.diagnostics import shared_confidence_residual, unit_ball_diversity
+from hybandit.diagnostics import unit_ball_diversity
 from hybandit.envs import (
     SyntheticEnvConfig,
     generate_environment,
@@ -112,7 +112,7 @@ def test_02_confidence_coverage():
         cfg = PolicyConfig.create(LINUCB, d1=d1, d2=d2, n_arms=k, S=1.0, T=T, delta=0.1)
         pol = SharedLinearUCB(cfg)
         noise = stream(env_seed, 0, 0, "noise").standard_normal(T)
-        violated = shared_confidence_residual(pol, params) > cfg.gamma
+        violated = pol.confidence_residual(params) > cfg.gamma
         for t in range(T):
             if violated:
                 break
@@ -120,7 +120,7 @@ def test_02_confidence_coverage():
             a = pol.select_arm(ctx)
             x, z = ctx.arm(a)
             pol.update(a, x, z, mean_reward(params, a, x, z) + float(noise[t]))
-            violated = shared_confidence_residual(pol, params) > cfg.gamma
+            violated = pol.confidence_residual(params) > cfg.gamma
         violated_trials += int(violated)
     frac = violated_trials / n_trials
     elapsed = time.time() - t_start

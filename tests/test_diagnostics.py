@@ -7,12 +7,9 @@ import pytest
 from hybandit.diagnostics import (
     DiagnosticsSample,
     DiagnosticsTrace,
-    confidence_residual,
-    shared_confidence_residual,
     sample_diagnostics,
     theory_constants,
     unit_ball_diversity,
-    unit_ridge_blocks,
     validate_assumption,
 )
 from hybandit.envs import SyntheticEnvConfig, sample_unit_ball
@@ -113,7 +110,7 @@ class TestConfidence:
     def test_initial_residual_passes(self, rng):
         params = random_params(rng, 3, 2, 5)
         pol = self.make_policy(params)
-        residual = confidence_residual(pol, params)
+        residual = pol.confidence_residual(params)
         lam = pol.config.lam
         expected = math.sqrt(lam) * float(np.linalg.norm(flat_params(params)))
         assert residual == pytest.approx(expected, rel=1e-9)
@@ -124,7 +121,7 @@ class TestConfidence:
         params = random_params(rng, 3, 2, 4)
         pol = self.make_policy(params)
         # the residual is positive, so no gamma of 0 covers it
-        assert confidence_residual(pol, params) > 0.0
+        assert pol.confidence_residual(params) > 0.0
 
     def test_residual_matches_dense_oracle(self, rng):
         params = random_params(rng, 3, 2, 4)
@@ -135,7 +132,7 @@ class TestConfidence:
             pol.update(i, x, z, float(rng.standard_normal()))
         delta = flat_estimate(pol) - flat_params(params)
         dense = float(np.sqrt(delta @ assemble_dense(pol.design) @ delta))
-        assert shared_confidence_residual(pol, params) == pytest.approx(dense, rel=1e-10)
+        assert pol.confidence_residual(params) == pytest.approx(dense, rel=1e-10)
 
     def test_disjoint_residual_matches_per_arm_loop(self, rng):
         params = random_params(rng, 3, 2, 4)
@@ -149,7 +146,7 @@ class TestConfidence:
         for i in range(4):
             d = pol.estimates()[1][i] - np.concatenate([params.theta, params.betas[i]])
             per_arm.append(math.sqrt(float(d @ pol.design.W[i] @ d)))
-        assert confidence_residual(pol, params) == pytest.approx(max(per_arm), rel=1e-12)
+        assert pol.confidence_residual(params) == pytest.approx(max(per_arm), rel=1e-12)
 
 
 class TestSandwich:
@@ -272,7 +269,7 @@ class TestSampleDiagnostics:
     def test_derived_blocks_match_dense_accumulation(self, rng):
         for algo in DIVERSITY_ALGOS:
             policy, dense = pulled(algo, rng, 3, 2, 4, rng.integers(4, size=50))
-            for got, want in zip(unit_ridge_blocks(policy), dense):
+            for got, want in zip(policy.unit_ridge_blocks(), dense):
                 assert got.shape == want.shape, algo
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12), algo
 
@@ -291,7 +288,7 @@ class TestSampleDiagnostics:
         arms = np.arange(n) % n_arms
         for algo in DIVERSITY_ALGOS:
             policy, dense = pulled(algo, rng, 4, 2, n_arms, arms)
-            derived = unit_ridge_blocks(policy)
+            derived = policy.unit_ridge_blocks()
             for got, want in zip(derived, dense):
                 assert np.allclose(got, want, rtol=0.0, atol=tol), algo
             if algo in ("linucb", "oracle"):

@@ -18,6 +18,7 @@ from hybandit.harness import (
     write_regret_csv,
     write_summary_csv,
 )
+from hybandit.linalg import BlockDesign
 from hybandit.model import mean_rewards
 from hybandit.rng import stream
 
@@ -166,6 +167,17 @@ class TestRunTraces:
         assert counting.calls == 50
         run_traces(env, LOCKSTEP_RUNS[:1])
         assert counting.calls == 100
+
+    def test_oracle_keeps_no_block_design(self, monkeypatch):
+        # the oracle has no estimate to score with: it keeps only the sums its diagnostics read
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran BlockDesign.block_update")
+
+        monkeypatch.setattr(BlockDesign, "block_update", refuse)
+        [(trace, diag)] = run_traces(desk_env(T=60), [("oracle", 0)], diagnostics_every=20)
+        assert trace.final_regret == 0.0
+        assert len(diag.samples) == 3
+        assert all(math.isnan(s.conf_residual) and math.isnan(s.conf_gamma) for s in diag.samples)
 
 
 class TestDiagnosticsRecompute:

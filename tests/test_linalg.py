@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybandit.diagnostics import sample_diagnostics
-from hybandit.linalg import BlockDesign, SymPosDef, sym_eigenvalues
+from hybandit.linalg import BlockDesign, sym_eigenvalues
 from hybandit.policies import HYLINUCB, LINUCB, PolicyConfig, SharedLinearUCB
 
 from oracles import (
@@ -40,66 +40,6 @@ def quad_form(bd, u):
     zs = np.zeros((bd.n_arms, bd.d2))
     xs[u.arm], zs[u.arm] = u.x, u.z
     return float(bd.quad_forms_per_arm(xs, zs)[u.arm])
-
-
-class TestSymPosDef:
-    def test_identity_rank_one(self):
-        m = SymPosDef(2, 1.0)
-        m.rank_one_update(np.array([1.0, 0.0]))
-        assert np.allclose(m.entries, np.diag([2.0, 1.0]))
-        assert np.allclose(m.inv_entries, np.diag([0.5, 1.0]))
-
-    def test_zero_update_is_noop(self):
-        m = SymPosDef(3, 2.0)
-        before_e, before_i = m.entries.copy(), m.inv_entries.copy()
-        m.rank_one_update(np.zeros(3))
-        assert np.array_equal(m.entries, before_e)
-        assert np.array_equal(m.inv_entries, before_i)
-
-    def test_maintained_inverse_matches_dense(self, rng):
-        m = SymPosDef(5, 1.0)
-        acc = np.eye(5)
-        for _ in range(100):
-            v = rng.standard_normal(5)
-            v /= np.linalg.norm(v)
-            m.rank_one_update(v)
-            acc += np.outer(v, v)
-        assert np.max(np.abs(m.inv_entries - np.linalg.inv(acc))) < 1e-9
-
-    @pytest.mark.slow
-    def test_long_run_drift(self, rng):
-        # 10^4 unit-norm updates, lambda >= 1: product with the true inverse
-        # stays within 1e-8 of the identity.
-        dim = 12
-        m = SymPosDef(dim, 1.0)
-        for _ in range(10_000):
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            m.rank_one_update(v)
-        residual = m.entries @ m.inv_entries - np.eye(dim)
-        assert np.max(np.abs(residual)) < 1e-8
-
-    def test_dimension_mismatch(self):
-        m = SymPosDef(3, 1.0)
-        with pytest.raises(ValueError):
-            m.rank_one_update(np.ones(4))
-
-    def test_refresh_counter(self, rng):
-        # the periodic refresh must not disturb values
-        m = SymPosDef(4, 1.0)
-        acc = np.eye(4)
-        import hybandit.linalg as linalg
-
-        old = linalg.INVERSE_REFRESH_EVERY
-        linalg.INVERSE_REFRESH_EVERY = 7
-        try:
-            for _ in range(30):
-                v = rng.standard_normal(4) / 3.0
-                m.rank_one_update(v)
-                acc += np.outer(v, v)
-        finally:
-            linalg.INVERSE_REFRESH_EVERY = old
-        assert np.max(np.abs(m.inv_entries - np.linalg.inv(acc))) < 1e-10
 
 
 class TestBlockDesign:
